@@ -36,18 +36,10 @@ func TestWorkersFlagMatchesLocalJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dist bytes.Buffer
-	if err := realMain(append(args, "-workers", distWorkers(t), "-ranges", "4"), &dist); err != nil {
+	if err := realMain(append(args, "-workers", distWorkers(t)), &dist); err != nil {
 		t.Fatal(err)
 	}
 	if local.String() != dist.String() {
 		t.Errorf("-workers JSON output diverged from local run\nlocal %s\ndist  %s", local.String(), dist.String())
-	}
-}
-
-// TestRangesNeedsWorkers: -ranges without -workers errors.
-func TestRangesNeedsWorkers(t *testing.T) {
-	if err := realMain([]string{"-only", "fig11", "-ranges", "2"}, &bytes.Buffer{}); err == nil ||
-		!strings.Contains(err.Error(), "-workers") {
-		t.Errorf("err %v, want -ranges/-workers coupling error", err)
 	}
 }

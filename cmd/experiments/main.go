@@ -107,7 +107,6 @@ func realMain(args []string, out io.Writer) error {
 		"comma-separated locd worker URLs: distribute each figure's trials across them instead of running locally")
 	discover := fs.String("discover", "",
 		"fleet registry base URL to discover locd workers from (distributed mode, like -workers; mid-run joiners participate)")
-	ranges := fs.Int("ranges", 0, "trial sub-ranges per distributed figure (0 = elastic chunked scheduling with stealing)")
 	asJSON := fs.Bool("json", false, "emit results as a JSON array")
 	progress := fs.Bool("progress", true, "stream per-figure trial progress to stderr")
 	traceFile := fs.String("trace", "",
@@ -147,13 +146,10 @@ func realMain(args []string, out io.Writer) error {
 		return err
 	}
 	if *workers != "" || *discover != "" {
-		if err := runDistributed(ctx, out, specs, *workers, *discover, *ranges, *asJSON, *progress); err != nil {
+		if err := runDistributed(ctx, out, specs, *workers, *discover, !opts.NoReuse, *asJSON, *progress); err != nil {
 			return err
 		}
 		return writeTrace(tracer, *traceFile)
-	}
-	if *ranges != 0 {
-		return fmt.Errorf("-ranges needs -workers or -discover")
 	}
 	jobs, err := spec.ResolveAll(specs)
 	if err != nil {
@@ -229,15 +225,16 @@ func writeTrace(tracer *obs.Tracer, path string) error {
 }
 
 // runDistributed executes each figure spec across the locd worker fleet via
-// the trial-range coordinator. Figure results are byte-identical to the
-// local path (figures carry no execution metadata), so -json output matches
-// a local run exactly.
-func runDistributed(ctx context.Context, out io.Writer, specs []spec.JobSpec, workers, discover string, ranges int, asJSON, progress bool) error {
+// the trial-range coordinator, adopting what the fleet's caches hold unless
+// reuse is off (-no-reuse). Figure results are byte-identical to the local
+// path (figures carry no execution metadata), so -json output matches a
+// local run exactly.
+func runDistributed(ctx context.Context, out io.Writer, specs []spec.JobSpec, workers, discover string, reuse, asJSON, progress bool) error {
 	urls := coord.ParseWorkers(workers)
 	var results []*experiments.Result
 	for _, sp := range specs {
 		start := time.Now()
-		opts := coord.Options{Workers: urls, Ranges: ranges, Discover: discover, Warnings: os.Stderr}
+		opts := coord.Options{Workers: urls, Discover: discover, Reuse: reuse, Warnings: os.Stderr}
 		var sb *coord.Scoreboard
 		if progress && !asJSON {
 			sb = coord.NewScoreboard(os.Stderr, sp.ID)

@@ -12,7 +12,7 @@
 //	GET  /v1/jobs/{id}        job status, and the result once done
 //	GET  /v1/jobs/{id}/events NDJSON stream of trial-progress events
 //	GET  /v1/cache/{key}      raw result-cache entry by content address
-//	POST /v1/cache/ranges     range-keyed cache probe for coordinator crash-resume
+//	POST /v1/cache/ranges     range-keyed cache probe for coordinator reuse
 //	POST /v1/fleet/announce   fleet-membership announce/heartbeat/leave
 //	GET  /v1/fleet            live fleet membership (the registry view)
 //	GET  /metrics             Prometheus text exposition of all counters

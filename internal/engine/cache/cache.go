@@ -368,15 +368,14 @@ type RangeEntry struct {
 // base key's Trials is ignored for matching: a partial banked by a
 // 1024-trial run of the same (scenario, seed, shard size, fingerprint,
 // params) is a reusable prefix of a 4096-trial request, so entries of
-// every trial count surface, each carrying its own Trials for the caller
-// to classify (same-N crash-resume versus cross-N prefix reuse). This is
-// the probe behind both the crash-resume coordinator and the prefix-reuse
-// planner: enumerate what survives, greedily cover the trial space, and
-// re-execute only the gaps. Entries are returned sorted by Lo ascending,
-// then wider-first, the order a greedy cover wants. The scan reads every
-// entry's self-describing key — the content address is one-way, so
-// enumeration is the only way to discover which ranges exist — which is
-// fine at the cache sizes GC maintains.
+// every trial count surface, each carrying its own Trials. This is the
+// probe behind both the local prefix-reuse planner and the fleet
+// coordinator: enumerate what survives, cover the trial space with Chain,
+// and re-execute only the gaps. Entries are returned sorted by Lo
+// ascending, then wider-first, the order a greedy cover wants. The scan
+// reads every entry's self-describing key — the content address is
+// one-way, so enumeration is the only way to discover which ranges exist —
+// which is fine at the cache sizes GC maintains.
 func (c *Cache) RangeEntries(base Key) ([]RangeEntry, error) {
 	base.RangeLo, base.RangeHi = 0, 0
 	base.Trials = 0
@@ -430,6 +429,53 @@ func (c *Cache) RangeEntries(base Key) ([]RangeEntry, error) {
 		return out[i].Hash < out[j].Hash
 	})
 	return out, nil
+}
+
+// Chain is the one chain policy for adopting cached ranges, shared by the
+// local prefix-reuse planner and the fleet coordinator. It covers
+// [0, trials) in trial order with entries and the gaps between them.
+// Entries that cannot tile [0, trials) (Lo < 0, Hi > trials, Hi <= Lo) are
+// rejected up front, since probe answers may arrive over HTTP. A partial
+// cannot be trimmed, so only an entry starting exactly at the uncovered
+// cursor extends the chain: the widest one is offered first, and on a
+// width tie an entry banked under trials itself (it needs no adaptation),
+// then the earlier entry. adopt receives the offered entry's index and
+// reports whether it joined the merge set; an entry that fails to fetch or
+// adapt returns false, and the cursor is retried against the rest. Where no
+// remaining entry starts at the cursor, gap receives the interval up to the
+// next one that does (or to trials).
+func Chain(entries []RangeEntry, trials int, adopt func(i int) bool, gap func(lo, hi int)) {
+	used := make([]bool, len(entries))
+	for i, e := range entries {
+		used[i] = e.Lo < 0 || e.Hi > trials || e.Hi <= e.Lo
+	}
+	for cursor := 0; cursor < trials; {
+		best := -1
+		for i, e := range entries {
+			if used[i] || e.Lo != cursor {
+				continue
+			}
+			if best < 0 || e.Hi > entries[best].Hi ||
+				(e.Hi == entries[best].Hi && e.Trials == trials && entries[best].Trials != trials) {
+				best = i
+			}
+		}
+		if best < 0 {
+			next := trials
+			for i, e := range entries {
+				if !used[i] && e.Lo > cursor && e.Lo < next {
+					next = e.Lo
+				}
+			}
+			gap(cursor, next)
+			cursor = next
+			continue
+		}
+		used[best] = true
+		if adopt(best) {
+			cursor = entries[best].Hi
+		}
+	}
 }
 
 // EntryByHash returns the raw stored entry (key and value, self-describing

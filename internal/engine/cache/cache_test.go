@@ -356,3 +356,79 @@ func TestMaybeGCThrottlesByStamp(t *testing.T) {
 		t.Error("throttled MaybeGC still removed an entry")
 	}
 }
+
+// TestChain pins the shared chain policy: exact-boundary chaining with
+// gaps between islands, widest-first with same-count preferred on a width
+// tie, a failed adoption retried against the remaining entries, and
+// malformed entries never offered.
+func TestChain(t *testing.T) {
+	type rg = RangeEntry
+	for _, tc := range []struct {
+		name    string
+		entries []RangeEntry
+		refuse  map[int]bool // entry indices whose adoption fails
+		offered []int        // entry indices passed to adopt, in order
+		gaps    [][2]int
+	}{
+		{name: "empty", gaps: [][2]int{{0, 10}}},
+		{
+			name:    "islands leave gaps",
+			entries: []rg{{Lo: 2, Hi: 4, Trials: 10}, {Lo: 6, Hi: 8, Trials: 5}},
+			offered: []int{0, 1},
+			gaps:    [][2]int{{0, 2}, {4, 6}, {8, 10}},
+		},
+		{
+			name:    "widest first",
+			entries: []rg{{Lo: 0, Hi: 4, Trials: 10}, {Lo: 0, Hi: 8, Trials: 8}, {Lo: 4, Hi: 10, Trials: 10}},
+			offered: []int{1},
+			gaps:    [][2]int{{8, 10}},
+		},
+		{
+			name:    "same count wins a width tie",
+			entries: []rg{{Lo: 0, Hi: 4, Trials: 20}, {Lo: 0, Hi: 4, Trials: 10}, {Lo: 4, Hi: 10, Trials: 20}},
+			offered: []int{1, 2},
+		},
+		{
+			name:    "earlier entry wins a full tie",
+			entries: []rg{{Lo: 0, Hi: 10, Trials: 20, Hash: "a"}, {Lo: 0, Hi: 10, Trials: 20, Hash: "b"}},
+			offered: []int{0},
+		},
+		{
+			name:    "failed adoption retries the cursor",
+			entries: []rg{{Lo: 0, Hi: 8, Trials: 10}, {Lo: 0, Hi: 4, Trials: 10}, {Lo: 6, Hi: 10, Trials: 10}},
+			refuse:  map[int]bool{0: true},
+			offered: []int{0, 1, 2},
+			gaps:    [][2]int{{4, 6}},
+		},
+		{
+			name:    "every candidate refused",
+			entries: []rg{{Lo: 0, Hi: 4, Trials: 10}, {Lo: 4, Hi: 10, Trials: 10}},
+			refuse:  map[int]bool{0: true, 1: true},
+			offered: []int{0, 1},
+			gaps:    [][2]int{{0, 4}, {4, 10}},
+		},
+		{
+			name: "malformed entries rejected",
+			entries: []rg{
+				{Lo: -2, Hi: 4, Trials: 10}, // starts before the trial space
+				{Lo: 4, Hi: 12, Trials: 12}, // ends past it
+				{Lo: 6, Hi: 6, Trials: 10},  // empty
+				{Lo: 8, Hi: 7, Trials: 10},  // inverted
+				{Lo: 0, Hi: 2, Trials: 10},
+			},
+			offered: []int{4},
+			gaps:    [][2]int{{2, 10}},
+		},
+	} {
+		var offered []int
+		var gaps [][2]int
+		Chain(tc.entries, 10, func(i int) bool {
+			offered = append(offered, i)
+			return !tc.refuse[i]
+		}, func(lo, hi int) { gaps = append(gaps, [2]int{lo, hi}) })
+		if fmt.Sprint(offered) != fmt.Sprint(tc.offered) || fmt.Sprint(gaps) != fmt.Sprint(tc.gaps) {
+			t.Errorf("%s: offered %v with gaps %v, want %v with gaps %v",
+				tc.name, offered, gaps, tc.offered, tc.gaps)
+		}
+	}
+}

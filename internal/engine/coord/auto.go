@@ -20,8 +20,8 @@ import (
 // ordinary coordinated Execute of a fixed-N spec — until the 95% CI
 // half-width of the stopping metric reaches the spec's target, the trial
 // cap is hit, or the scenario's own ceiling stops growth. The returned
-// Stats sums the additive counters (retries, hedges, steals, resumed and
-// reused trials, ...) across rounds and takes the final round's shape
+// Stats sums the additive counters (retries, hedges, steals, reused
+// trials, ...) across rounds and takes the final round's shape
 // (Trials, Ranges, Workers). A fixed-count spec just delegates to Execute.
 func ExecuteAuto(ctx context.Context, sp spec.JobSpec, opts Options) (*spec.Value, Stats, error) {
 	if sp.AutoTrials == nil {
@@ -57,8 +57,6 @@ func ExecuteAuto(ctx context.Context, sp spec.JobSpec, opts Options) (*spec.Valu
 		acc.Steals += st.Steals
 		acc.Joined += st.Joined
 		acc.Left += st.Left
-		acc.ResumedTrials += st.ResumedTrials
-		acc.ResumedRanges += st.ResumedRanges
 		acc.ReusedTrials += st.ReusedTrials
 		acc.ReusedRanges += st.ReusedRanges
 		acc.Trials, acc.Ranges, acc.Workers = st.Trials, st.Ranges, st.Workers

@@ -65,12 +65,12 @@ func normalized(t *testing.T, v *spec.Value) string {
 }
 
 // TestCoordinatedMatchesGoldenCorpus is the acceptance check: a multi-trial
-// figure job coordinated across two real locd workers renders
-// byte-identically to the golden corpus at seeds 1 and 5, for several
-// partitions of its trial space; a library scenario reproduces the local
-// run the same way.
+// figure job coordinated across one, two and three real locd workers — a
+// different partition of its trial space each time — renders
+// byte-identically to the golden corpus at seeds 1 and 5; a library
+// scenario reproduces the local run the same way at several shard sizes.
 func TestCoordinatedMatchesGoldenCorpus(t *testing.T) {
-	workers := []string{newWorker(t, run.Options{}), newWorker(t, run.Options{})}
+	workers := []string{newWorker(t, run.Options{}), newWorker(t, run.Options{}), newWorker(t, run.Options{})}
 	goldenDir := filepath.Join("..", "..", "experiments", "testdata", "golden")
 
 	for _, seed := range []int64{1, 5} {
@@ -79,36 +79,42 @@ func TestCoordinatedMatchesGoldenCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ranges := range []int{2, 5} {
+		for k := 1; k <= len(workers); k++ {
 			val, st, err := coord.Execute(context.Background(), sp,
-				coord.Options{Workers: workers, Ranges: ranges, Warnings: io.Discard})
+				coord.Options{Workers: workers[:k], Warnings: io.Discard})
 			if err != nil {
-				t.Fatalf("maxrange seed %d ranges %d: %v", seed, ranges, err)
+				t.Fatalf("maxrange seed %d over %d workers: %v", seed, k, err)
 			}
 			if val.Figure == nil {
 				t.Fatalf("maxrange seed %d: no figure in %+v", seed, val)
 			}
 			if got := val.Figure.Render(); got != string(want) {
-				t.Errorf("maxrange seed %d over %d ranges diverged from golden output\n--- got ---\n%s--- want ---\n%s",
-					seed, ranges, got, want)
+				t.Errorf("maxrange seed %d over %d workers diverged from golden output\n--- got ---\n%s--- want ---\n%s",
+					seed, k, got, want)
 			}
-			if st.Ranges != ranges || st.Trials != 36 {
-				t.Errorf("stats %+v, want %d ranges over 36 trials", st, ranges)
+			// maxrange pins shard size 1, so the scheduler seeds one
+			// assignment per worker and carves each into several chunks.
+			if st.Ranges <= k || st.Trials != 36 {
+				t.Errorf("%d workers: stats %+v, want more than %d ranges over 36 trials", k, st, k)
 			}
 		}
 	}
 
-	// A scenario job: coordinated result equals the local run.
-	sp := spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 1, Trials: 8, ShardSize: 2}
-	want := normalized(t, localValue(t, sp))
-	for _, ranges := range []int{0, 3, 8} { // 0 = one per worker
-		val, _, err := coord.Execute(context.Background(), sp,
-			coord.Options{Workers: workers, Ranges: ranges, Warnings: io.Discard})
+	// A scenario job: coordinated result equals the local run. Shard size
+	// 8 covers all 8 trials in one range, submitted whole.
+	for _, shardSize := range []int{1, 3, 8} {
+		sp := spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 1, Trials: 8, ShardSize: shardSize}
+		want := normalized(t, localValue(t, sp))
+		val, st, err := coord.Execute(context.Background(), sp,
+			coord.Options{Workers: workers, Warnings: io.Discard})
 		if err != nil {
-			t.Fatalf("ranges %d: %v", ranges, err)
+			t.Fatalf("shard size %d: %v", shardSize, err)
 		}
 		if got := normalized(t, val); got != want {
-			t.Errorf("ranges %d: coordinated scenario diverged\n got %s\nwant %s", ranges, got, want)
+			t.Errorf("shard size %d: coordinated scenario diverged\n got %s\nwant %s", shardSize, got, want)
+		}
+		if shardSize == 8 && st.Ranges != 1 {
+			t.Errorf("one-shard job split into %d ranges", st.Ranges)
 		}
 	}
 
@@ -140,7 +146,7 @@ func TestCoordinatorProgressAggregates(t *testing.T) {
 	monotonic := true
 	val, _, err := coord.Execute(context.Background(),
 		spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 2, Trials: 8, ShardSize: 1},
-		coord.Options{Workers: workers, Ranges: 4, Warnings: io.Discard,
+		coord.Options{Workers: workers, Warnings: io.Discard,
 			OnProgress: func(done, total int) {
 				if done < prev || total != 8 {
 					monotonic = false
@@ -242,7 +248,6 @@ func TestCoordinatorRetriesFaultyWorkers(t *testing.T) {
 	} {
 		val, st, err := coord.Execute(context.Background(), sp, coord.Options{
 			Workers:      []string{faulty, healthy},
-			Ranges:       2,
 			StallTimeout: 200 * time.Millisecond,
 			Warnings:     io.Discard,
 		})
@@ -293,7 +298,6 @@ func TestCoordinatorDedupesDuplicateCompletions(t *testing.T) {
 
 	val, st, err := coord.Execute(context.Background(), sp, coord.Options{
 		Workers:      []string{slow, backend},
-		Ranges:       2,
 		StallTimeout: 100 * time.Millisecond,
 		Warnings:     io.Discard,
 	})
@@ -311,7 +315,8 @@ func TestCoordinatorDedupesDuplicateCompletions(t *testing.T) {
 // TestCoordinatorPermanentFailureDoesNotRetry: a worker reporting a
 // terminal job failure (not a transport error, not a skipped sibling) ends
 // the range immediately — the sub-job is deterministic, so every other
-// worker would compute the same failure.
+// worker would compute the same failure. The 4-trial job fits one shard,
+// so it is one range, submitted once.
 func TestCoordinatorPermanentFailureDoesNotRetry(t *testing.T) {
 	var submits int32
 	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -327,36 +332,16 @@ func TestCoordinatorPermanentFailureDoesNotRetry(t *testing.T) {
 
 	_, st, err := coord.Execute(context.Background(),
 		spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 1, Trials: 4},
-		coord.Options{Workers: []string{failing.URL, failing.URL}, Ranges: 1,
+		coord.Options{Workers: []string{failing.URL, failing.URL},
 			StallTimeout: time.Second, Warnings: io.Discard})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err %v, want the job's own failure", err)
 	}
-	if got := atomic.LoadInt32(&submits); got != 1 {
-		t.Errorf("deterministic failure was submitted %d times, want exactly 1", got)
+	if got := atomic.LoadInt32(&submits); got != 1 || st.Ranges != 1 {
+		t.Errorf("deterministic failure was submitted %d times over %d ranges, want once over 1", got, st.Ranges)
 	}
 	if st.Retries != 0 {
 		t.Errorf("deterministic failure recorded %d retries, want 0", st.Retries)
-	}
-}
-
-// TestSplitRanges: contiguous, non-empty, near-equal coverage; clamped to
-// the trial count.
-func TestSplitRanges(t *testing.T) {
-	for _, tc := range []struct {
-		trials, k int
-		want      []spec.Range
-	}{
-		{10, 3, []spec.Range{{Lo: 0, Hi: 4}, {Lo: 4, Hi: 7}, {Lo: 7, Hi: 10}}},
-		{4, 8, []spec.Range{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 2}, {Lo: 2, Hi: 3}, {Lo: 3, Hi: 4}}},
-		{5, 1, []spec.Range{{Lo: 0, Hi: 5}}},
-	} {
-		got := coord.SplitRanges(tc.trials, tc.k)
-		gj, _ := json.Marshal(got)
-		wj, _ := json.Marshal(tc.want)
-		if string(gj) != string(wj) {
-			t.Errorf("SplitRanges(%d, %d) = %s, want %s", tc.trials, tc.k, gj, wj)
-		}
 	}
 }
 
@@ -393,7 +378,7 @@ func TestCoordinatorTraceAndScoreboard(t *testing.T) {
 	ctx := obs.WithTracer(context.Background(), tr)
 	var last []coord.WorkerScore
 	val, st, err := coord.Execute(ctx, sp, coord.Options{
-		Workers: workers, Ranges: 4, Warnings: io.Discard,
+		Workers: workers, Warnings: io.Discard,
 		OnScoreboard: func(ws []coord.WorkerScore) { last = ws },
 	})
 	if err != nil {

@@ -112,9 +112,9 @@ func TestDynamicMidRunJoin(t *testing.T) {
 
 // TestCrashResumeProperty is the crash-recovery acceptance property: for
 // any subset of the range-keyed cache entries a dead coordinator's workers
-// banked, a resuming coordinator merges the surviving entries, re-executes
-// only the gaps, and produces bytes identical to an uninterrupted run — at
-// seeds 1 and 5.
+// banked, a successor with Reuse on merges the surviving entries,
+// re-executes only the gaps, and produces bytes identical to an
+// uninterrupted run — at seeds 1 and 5.
 func TestCrashResumeProperty(t *testing.T) {
 	tiling := [][2]int{{0, 3}, {3, 6}, {6, 9}, {9, 12}}
 	subsets := [][]int{
@@ -137,19 +137,19 @@ func TestCrashResumeProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantResumed := 0
+			wantReused := 0
 			for _, idx := range subset {
 				rg := tiling[idx]
 				if _, _, err := run.ExecuteSpec(sess, subRange(sp, rg[0], rg[1])); err != nil {
 					t.Fatalf("%s: banking [%d, %d): %v", name, rg[0], rg[1], err)
 				}
-				wantResumed += rg[1] - rg[0]
+				wantReused += rg[1] - rg[0]
 			}
 			worker := newWorker(t, run.Options{CacheDir: dir})
 
 			val, st, err := coord.Execute(context.Background(), sp, coord.Options{
 				Workers:  []string{worker},
-				Resume:   true,
+				Reuse:    true,
 				Warnings: io.Discard,
 			})
 			if err != nil {
@@ -158,16 +158,16 @@ func TestCrashResumeProperty(t *testing.T) {
 			if got := normalized(t, val); got != want {
 				t.Errorf("%s: resumed result diverged\n got %s\nwant %s", name, got, want)
 			}
-			if st.ResumedTrials != wantResumed || st.ResumedRanges != len(subset) {
-				t.Errorf("%s: resumed %d trials in %d ranges, want %d in %d",
-					name, st.ResumedTrials, st.ResumedRanges, wantResumed, len(subset))
+			if st.ReusedTrials != wantReused || st.ReusedRanges != len(subset) {
+				t.Errorf("%s: reused %d trials in %d ranges, want %d in %d",
+					name, st.ReusedTrials, st.ReusedRanges, wantReused, len(subset))
 			}
 		}
 	}
 }
 
 // TestResumeFullEntry: when some worker's cache already holds the finished
-// full result, resume returns it without submitting any work.
+// full result, Reuse returns it without submitting any work.
 func TestResumeFullEntry(t *testing.T) {
 	sp := spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 1, Trials: 8, ShardSize: 2}
 	want := normalized(t, localValue(t, sp))
@@ -185,7 +185,7 @@ func TestResumeFullEntry(t *testing.T) {
 	var warnings strings.Builder
 	val, st, err := coord.Execute(context.Background(), sp, coord.Options{
 		Workers:  []string{worker},
-		Resume:   true,
+		Reuse:    true,
 		Warnings: &warnings,
 	})
 	if err != nil {
@@ -194,34 +194,10 @@ func TestResumeFullEntry(t *testing.T) {
 	if got := normalized(t, val); got != want {
 		t.Errorf("full-entry resume diverged\n got %s\nwant %s", got, want)
 	}
-	if st.ResumedTrials != 8 {
-		t.Errorf("stats %+v, want the full 8 trials resumed", st)
+	if st.ReusedTrials != 8 || st.ReusedRanges != 1 || st.Ranges != 0 {
+		t.Errorf("stats %+v, want the full 8 trials reused as one entry and no range submitted", st)
 	}
-	if !strings.Contains(warnings.String(), "resumed the complete result") {
-		t.Errorf("no full-resume diagnostic:\n%s", warnings.String())
-	}
-}
-
-// TestResumeOffIgnoresCaches: without Options.Resume the coordinator
-// executes everything even when range entries exist (resume is an explicit
-// crash-recovery action, not an ambient cache behavior).
-func TestResumeOffIgnoresCaches(t *testing.T) {
-	sp := spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 4, Trials: 8, ShardSize: 2}
-	dir := filepath.Join(t.TempDir(), "cache")
-	sess, err := run.NewSession(run.Options{CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := run.ExecuteSpec(sess, subRange(sp, 0, 4)); err != nil {
-		t.Fatal(err)
-	}
-	worker := newWorker(t, run.Options{CacheDir: dir})
-	_, st, err := coord.Execute(context.Background(), sp,
-		coord.Options{Workers: []string{worker}, Warnings: io.Discard})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ResumedTrials != 0 || st.ResumedRanges != 0 {
-		t.Errorf("resume ran without being asked: %+v", st)
+	if !strings.Contains(warnings.String(), "reused the complete result") {
+		t.Errorf("no full-result diagnostic:\n%s", warnings.String())
 	}
 }

@@ -3,14 +3,18 @@ package coord_test
 import (
 	"context"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"resilientloc/internal/engine/coord"
 	"resilientloc/internal/engine/params"
 	"resilientloc/internal/engine/run"
 	"resilientloc/internal/engine/spec"
+	"resilientloc/internal/locsrv"
 )
 
 // TestReuseExtendsAcrossTrialCounts is the distributed half of the
@@ -51,46 +55,38 @@ func TestReuseExtendsAcrossTrialCounts(t *testing.T) {
 	if st.ReusedTrials != 8 || st.ReusedRanges != 1 {
 		t.Errorf("stats %+v, want 8 trials reused in 1 range", st)
 	}
-	if st.ResumedTrials != 0 {
-		t.Errorf("cross-count adoption miscounted as resume: %+v", st)
-	}
-	if !strings.Contains(warnings.String(), "cross-count") {
+	if !strings.Contains(warnings.String(), "reused 8 of 16 trials in 1 ranges") {
 		t.Errorf("no reuse diagnostic in warnings:\n%s", warnings.String())
 	}
 }
 
-// TestReuseAndResumeStayDistinct: entries banked under the job's own trial
-// count need Resume, entries under another count need Reuse, and when both
-// kinds survive each merged range lands in exactly one counter.
-func TestReuseAndResumeStayDistinct(t *testing.T) {
+// TestReuseAdoptsMixedCachesInOnePass: with Reuse on, a worker cache
+// holding both a smaller run's range (cross-count) and a predecessor's
+// sub-range of this very job (same-count) is adopted in one pass, each
+// entry counted once in ReusedTrials, and the result is byte-identical to
+// the local cold run.
+func TestReuseAdoptsMixedCachesInOnePass(t *testing.T) {
 	small := spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 5, Trials: 8, ShardSize: 2}
 	big := small
 	big.Trials = 16
 	want := normalized(t, localValue(t, big))
 
-	prime := func(t *testing.T) string {
-		t.Helper()
-		dir := filepath.Join(t.TempDir(), "cache")
-		sess, err := run.NewSession(run.Options{CacheDir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Cross-count material: the full small run's [0, 8) range entry.
-		if _, _, err := run.ExecuteSpec(sess, small); err != nil {
-			t.Fatal(err)
-		}
-		// Same-count material: a predecessor's [8, 12) sub-job of the big run.
-		if _, _, err := run.ExecuteSpec(sess, subRange(big, 8, 12)); err != nil {
-			t.Fatal(err)
-		}
-		return dir
+	dir := filepath.Join(t.TempDir(), "cache")
+	sess, err := run.NewSession(run.Options{CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cross-count material: the full small run's [0, 8) range entry.
+	if _, _, err := run.ExecuteSpec(sess, small); err != nil {
+		t.Fatal(err)
+	}
+	// Same-count material: a predecessor's [8, 12) sub-job of the big run.
+	if _, _, err := run.ExecuteSpec(sess, subRange(big, 8, 12)); err != nil {
+		t.Fatal(err)
 	}
 
-	// With both switches on, both entries merge — and each is counted once,
-	// in its own bucket.
 	val, st, err := coord.Execute(context.Background(), big, coord.Options{
-		Workers:  []string{newWorker(t, run.Options{CacheDir: prime(t)})},
-		Resume:   true,
+		Workers:  []string{newWorker(t, run.Options{CacheDir: dir})},
 		Reuse:    true,
 		Warnings: io.Discard,
 	})
@@ -98,35 +94,52 @@ func TestReuseAndResumeStayDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := normalized(t, val); got != want {
-		t.Errorf("mixed resume+reuse diverged\n got %s\nwant %s", got, want)
+		t.Errorf("mixed-cache reuse diverged\n got %s\nwant %s", got, want)
 	}
-	if st.ReusedTrials != 8 || st.ReusedRanges != 1 || st.ResumedTrials != 4 || st.ResumedRanges != 1 {
-		t.Errorf("stats %+v, want 8 reused in 1 range and 4 resumed in 1 range", st)
+	if st.ReusedTrials != 12 || st.ReusedRanges != 2 {
+		t.Errorf("stats %+v, want 12 trials reused in 2 ranges", st)
 	}
+}
 
-	// Reuse alone ignores the same-count entry; resume alone ignores the
-	// cross-count one.
-	_, st, err = coord.Execute(context.Background(), big, coord.Options{
-		Workers:  []string{newWorker(t, run.Options{CacheDir: prime(t)})},
-		Reuse:    true,
-		Warnings: io.Discard,
-	})
+// TestReuseOffProbesNoWorker: with Reuse off the coordinator never asks a
+// worker what its cache holds, even when range entries survive there, and
+// counts nothing as reused.
+func TestReuseOffProbesNoWorker(t *testing.T) {
+	sp := spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 4, Trials: 8, ShardSize: 2}
+	want := normalized(t, localValue(t, sp))
+	dir := filepath.Join(t.TempDir(), "cache")
+	sess, err := run.NewSession(run.Options{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ReusedTrials != 8 || st.ResumedTrials != 0 {
-		t.Errorf("reuse-only stats %+v, want only the 8 cross-count trials", st)
+	if _, _, err := run.ExecuteSpec(sess, subRange(sp, 0, 4)); err != nil {
+		t.Fatal(err)
 	}
-	_, st, err = coord.Execute(context.Background(), big, coord.Options{
-		Workers:  []string{newWorker(t, run.Options{CacheDir: prime(t)})},
-		Resume:   true,
-		Warnings: io.Discard,
-	})
+	srv, err := locsrv.New(run.Options{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ResumedTrials != 4 || st.ReusedTrials != 0 {
-		t.Errorf("resume-only stats %+v, want only the 4 same-count trials", st)
+	var probes atomic.Int32
+	h := srv.Handler()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/cache/ranges" {
+			probes.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { srv.Close(); hs.Close() })
+
+	val, st, err := coord.Execute(context.Background(), sp,
+		coord.Options{Workers: []string{hs.URL}, Warnings: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := normalized(t, val); got != want {
+		t.Errorf("cold coordination diverged\n got %s\nwant %s", got, want)
+	}
+	if n := probes.Load(); n != 0 || st.ReusedTrials != 0 || st.ReusedRanges != 0 {
+		t.Errorf("Reuse off probed %d times and reused %d trials in %d ranges, want none",
+			n, st.ReusedTrials, st.ReusedRanges)
 	}
 }
 

@@ -7,7 +7,7 @@
 // Announce record — its advertised base URL, its shard-slot capacity
 // (engine.Budget.Cap), and its binary fingerprint (cache.Fingerprint,
 // which the coordinator needs to address the worker's range-keyed cache
-// entries during crash-resume) — to a registry served by any locd
+// entries when it adopts them) — to a registry served by any locd
 // (internal/locsrv routes /v1/fleet/announce and /v1/fleet onto a
 // Registry). A worker that misses enough heartbeats is evicted; a worker
 // that shuts down cleanly announces Leaving and is removed at once. The
@@ -56,7 +56,7 @@ type Announce struct {
 	Capacity int `json:"capacity,omitempty"`
 	// Fingerprint is the worker binary's cache fingerprint
 	// (cache.Fingerprint). The coordinator uses it to tell mixed-build
-	// fleets apart; the resume path addresses each worker's range-keyed
+	// fleets apart; the cache probe addresses each worker's range-keyed
 	// cache entries through the worker itself, so the fingerprint is
 	// informational.
 	Fingerprint string `json:"fingerprint,omitempty"`

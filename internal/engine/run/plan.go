@@ -51,56 +51,26 @@ func coldPlan(trials int) reusePlan {
 }
 
 // planReuse probes the cache for range entries sharing key's content address
-// (any stamped trial count) and greedily builds a disjoint chain: at each
-// uncovered cursor, take the widest cached range starting exactly there
-// (preferring same-N entries on width ties, which adapt trivially); where
-// none starts, open a gap up to the next candidate. Entries that fail to
-// fetch or adapt are skipped in place, so a half-evicted cache degrades to
-// wider gaps, never to an error.
+// (any stamped trial count) and chains them with cache.Chain, the chain
+// policy the fleet coordinator shares. Entries that fail to fetch or adapt
+// are skipped in place, so a half-evicted cache degrades to wider gaps,
+// never to an error.
 func (s *Session) planReuse(key cache.Key, trials int, name string) reusePlan {
 	entries, err := s.cache.RangeEntries(key)
 	if err != nil || len(entries) == 0 {
 		return coldPlan(trials)
 	}
 	var plan reusePlan
-	used := make([]bool, len(entries))
-	cursor := 0
-	for cursor < trials {
-		best := -1
-		for i, e := range entries {
-			if used[i] || e.Lo != cursor || e.Hi > trials {
-				continue
-			}
-			if best < 0 || e.Hi > entries[best].Hi ||
-				(e.Hi == entries[best].Hi && e.Trials == trials && entries[best].Trials != trials) {
-				best = i
-			}
-		}
-		if best < 0 {
-			// No cached range starts at the cursor: compute up to the next
-			// point where one does.
-			next := trials
-			for i, e := range entries {
-				if !used[i] && e.Lo > cursor && e.Lo < next {
-					next = e.Lo
-				}
-			}
-			plan.gaps = append(plan.gaps, spec.Range{Lo: cursor, Hi: next})
-			cursor = next
-			continue
-		}
-		used[best] = true
-		e := entries[best]
+	cache.Chain(entries, trials, func(i int) bool {
+		e := entries[i]
 		p, ok := s.fetchRange(key, e, trials, name)
-		if !ok {
-			// Retry the same cursor against the remaining candidates.
-			continue
+		if ok {
+			plan.parts = append(plan.parts, p)
+			plan.reusedTrials += e.Hi - e.Lo
+			plan.reusedRanges++
 		}
-		plan.parts = append(plan.parts, p)
-		plan.reusedTrials += e.Hi - e.Lo
-		plan.reusedRanges++
-		cursor = e.Hi
-	}
+		return ok
+	}, func(lo, hi int) { plan.gaps = append(plan.gaps, spec.Range{Lo: lo, Hi: hi}) })
 	return plan
 }
 

@@ -10,7 +10,7 @@ import (
 	"resilientloc/internal/engine/spec"
 )
 
-// TestRangeProbe: the crash-resume probe reports exactly the partial-range
+// TestRangeProbe: the cache probe reports exactly the partial-range
 // entries a session banked for a job — addressed by hashes that really
 // fetch those entries — and distinguishes seeds, retention, and the
 // full-run entry.

@@ -328,7 +328,7 @@ func (s *Session) CacheEntry(hash string) ([]byte, bool, error) {
 // jobCacheKey builds the cache key of job's full run — the identity that
 // every range-keyed partial of the job shares once RangeLo/RangeHi (and
 // the partial retention flag) are stamped on top. One function so
-// execution and the crash-resume probe can never drift apart on what a
+// execution and the cache probe can never drift apart on what a
 // job's content address is.
 func jobCacheKey(job spec.Resolved, trials, shardSize int) cache.Key {
 	key := cache.Key{
@@ -345,7 +345,7 @@ func jobCacheKey(job spec.Resolved, trials, shardSize int) cache.Key {
 	return key
 }
 
-// RangeProbe is the crash-resume probe result for one job: the content
+// RangeProbe is the cache probe result for one job: the content
 // address of the job's full-run cache entry when one exists, plus every
 // cached partial-range entry — all keyed with this process's own binary
 // fingerprint, which is exactly why the probe runs on the worker (over
@@ -365,7 +365,7 @@ type RangeProbe struct {
 
 // RangeEntries probes the session's cache for results a previous run of sp
 // (or its sub-ranges) already banked. The spec must describe the full job:
-// a spec carrying its own trial range has nothing to resume. A session
+// a spec carrying its own trial range has nothing to probe. A session
 // without a cache answers with no entries rather than an error.
 func (s *Session) RangeEntries(sp spec.JobSpec) (RangeProbe, error) {
 	if sp.TrialRange != nil {
@@ -423,10 +423,10 @@ type Info struct {
 	Trials int
 	// ReusedTrials counts trials the prefix-reuse planner satisfied from
 	// cached range entries instead of recomputing. Zero for full-key cache
-	// hits (nothing was planned) and for cold runs. Distinct from the
-	// coordinator's resumed-trial counter: resume replays this job's own
-	// interrupted ranges, reuse extends a different (typically smaller)
-	// run's surviving ranges.
+	// hits (nothing was planned) and for cold runs. Entries banked under
+	// this job's own trial count (an interrupted run's ranges) and under a
+	// different one (a smaller run's prefix) count alike, as in the
+	// coordinator's ReusedTrials, which the cache probe feeds.
 	ReusedTrials int
 	// Elapsed is the wall time of this execution, including cache lookup.
 	Elapsed time.Duration
@@ -497,32 +497,24 @@ func ExecuteSpecContext(ctx context.Context, s *Session, sp spec.JobSpec) (*spec
 	if err != nil {
 		return nil, Info{}, err
 	}
-	return ExecuteResolvedContext(ctx, s, job)
+	return executeResolved(ctx, s, job)
 }
 
-// ExecuteResolved executes one already-resolved job; see ExecuteSpec.
-func ExecuteResolved(s *Session, job spec.Resolved) (*spec.Value, Info, error) {
-	return ExecuteResolvedContext(context.Background(), s, job)
-}
-
-// ExecuteResolvedContext is ExecuteResolved with an observability context;
-// see ExecuteSpecContext.
-func ExecuteResolvedContext(ctx context.Context, s *Session, job spec.Resolved) (*spec.Value, Info, error) {
+// executeResolved executes one already-resolved job (see ExecuteSpec) and
+// records the run_jobs_* metrics for it.
+func executeResolved(ctx context.Context, s *Session, job spec.Resolved) (_ *spec.Value, info Info, err error) {
 	obsInflight.Add(1)
-	defer obsInflight.Add(-1)
-	res, info, err := executeResolved(ctx, s, job)
-	obsJobs.Inc()
-	obsJobSec.Observe(info.Elapsed.Seconds())
-	switch {
-	case err != nil:
-		obsJobsFailed.Inc()
-	case info.Cached:
-		obsJobsCached.Inc()
-	}
-	return res, info, err
-}
-
-func executeResolved(ctx context.Context, s *Session, job spec.Resolved) (*spec.Value, Info, error) {
+	defer func() {
+		obsInflight.Add(-1)
+		obsJobs.Inc()
+		obsJobSec.Observe(info.Elapsed.Seconds())
+		switch {
+		case err != nil:
+			obsJobsFailed.Inc()
+		case info.Cached:
+			obsJobsCached.Inc()
+		}
+	}()
 	start := time.Now()
 	c := job.Campaign
 	name := c.Scenario.Name
@@ -717,18 +709,12 @@ func ExecuteAllContext(ctx context.Context, s *Session, jobs []spec.Resolved, on
 	return executeAll(ctx, s, jobs, onDone, true)
 }
 
-// ExecuteAllUnordered is ExecuteAll with per-job completion latency instead
-// of ordered streaming: onDone fires (serialized) as soon as each job
-// finishes, regardless of its position in the submission. Services that
-// answer polls per job (locd) use this so a fast or cached job is never
-// held hostage by a long-running sibling; CLIs that stream suite output
-// keep ExecuteAll's ordered emission.
-func ExecuteAllUnordered(s *Session, jobs []spec.Resolved, onDone func(Outcome)) []Outcome {
-	return executeAll(context.Background(), s, jobs, onDone, false)
-}
-
-// ExecuteAllUnorderedContext is ExecuteAllUnordered with an observability
-// context; see ExecuteAllContext.
+// ExecuteAllUnorderedContext is ExecuteAllContext with per-job completion
+// latency instead of ordered streaming: onDone fires (serialized) as soon
+// as each job finishes, regardless of its position in the submission.
+// Services that answer polls per job (locd) use this so a fast or cached
+// job is never held hostage by a long-running sibling; CLIs that stream
+// suite output keep ExecuteAll's ordered emission.
 func ExecuteAllUnorderedContext(ctx context.Context, s *Session, jobs []spec.Resolved, onDone func(Outcome)) []Outcome {
 	return executeAll(ctx, s, jobs, onDone, false)
 }
@@ -852,6 +838,6 @@ func executeAll(ctx context.Context, s *Session, jobs []spec.Resolved, onDone fu
 }
 
 func runResolved(ctx context.Context, s *Session, j spec.Resolved) Outcome {
-	res, info, err := ExecuteResolvedContext(ctx, s, j)
+	res, info, err := executeResolved(ctx, s, j)
 	return Outcome{Spec: j.Spec, Result: res, Info: info, Err: err}
 }

@@ -2,6 +2,7 @@ package run_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -394,7 +395,7 @@ func TestSuiteParallelByteIdenticalAndOrdered(t *testing.T) {
 func TestExecuteAllUnorderedReportsEachJobOnce(t *testing.T) {
 	s := newSession(t, run.Options{NoCache: true, SuiteParallel: 2})
 	seen := map[string]int{}
-	outs := run.ExecuteAllUnordered(s, fastFigJobs(t, 1), func(o run.Outcome) {
+	outs := run.ExecuteAllUnorderedContext(context.Background(), s, fastFigJobs(t, 1), func(o run.Outcome) {
 		if o.Err != nil {
 			t.Errorf("%s: %v", o.Spec.ID, o.Err)
 		}

@@ -23,7 +23,7 @@
 //	GET  /v1/jobs/{id}        job status, and the result once done
 //	GET  /v1/jobs/{id}/events NDJSON stream of trial-progress events
 //	GET  /v1/cache/{key}      raw result-cache entry by content address
-//	POST /v1/cache/ranges     crash-resume probe: cached ranges of a job spec
+//	POST /v1/cache/ranges     cache probe: cached ranges of a job spec
 //	POST /v1/fleet/announce   worker registration heartbeat (fleet registry)
 //	GET  /v1/fleet            live fleet membership
 //	GET  /healthz             liveness
@@ -835,13 +835,13 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(b)
 }
 
-// handleCacheRanges is the crash-resume probe: the body is one full-job
-// spec, and the response is the run.RangeProbe of everything this worker's
-// cache has banked for it — the full-run entry's content address (if any)
-// and every partial-range entry, keyed with this worker's own binary
-// fingerprint. A restarted coordinator probes each worker, greedily covers
-// the trial space from the answers, fetches the chosen entries via
-// GET /v1/cache/{key}, and re-executes only the gaps.
+// handleCacheRanges is the cache probe: the body is one full-job spec, and
+// the response is the run.RangeProbe of everything this worker's cache has
+// banked for it — the full-run entry's content address (if any) and every
+// partial-range entry, keyed with this worker's own binary fingerprint. A
+// coordinator with reuse on probes each worker, chains a cover of the
+// trial space from the answers (cache.Chain), fetches the chosen entries
+// via GET /v1/cache/{key}, and executes only the gaps.
 func (s *Server) handleCacheRanges(w http.ResponseWriter, r *http.Request) {
 	specs, err := spec.Decode(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
