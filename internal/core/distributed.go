@@ -251,16 +251,25 @@ func solveLocalMap(set *measure.Set, i int, cfg LSSConfig, rng *rand.Rand) map[i
 // dst-frame coordinates using the nodes present in both maps (the shared
 // neighbors C of Section 4.3.1). It reports failure when fewer than
 // minShared nodes are shared.
+//
+// The shared nodes are visited in ascending ID order: FitRigid sums over
+// them, and a map's random iteration order would make the transform — and
+// every position aligned through it — differ in the last bits between runs.
 func fitFrames(src, dst map[int]geom.Point, minShared int) (geom.Transform, bool) {
-	var from, to []geom.Point
-	for id, p := range src {
-		if q, ok := dst[id]; ok {
-			from = append(from, p)
-			to = append(to, q)
+	var shared []int
+	for id := range src { // order-insensitive: sorted below
+		if _, ok := dst[id]; ok {
+			shared = append(shared, id)
 		}
 	}
-	if len(from) < minShared {
+	if len(shared) < minShared {
 		return geom.Transform{}, false
+	}
+	sort.Ints(shared)
+	from := make([]geom.Point, len(shared))
+	to := make([]geom.Point, len(shared))
+	for k, id := range shared {
+		from[k], to[k] = src[id], dst[id]
 	}
 	t, _, err := geom.FitRigid(from, to)
 	if err != nil {

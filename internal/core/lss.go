@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"resilientloc/internal/geom"
 	"resilientloc/internal/measure"
@@ -207,11 +208,18 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 		if seed, err := SolveMDSMapIn(ws, set); err == nil {
 			if len(cfg.Anchors) >= 2 {
 				// Register the relative MDS map onto the anchor frame so
-				// pinning doesn't tear the configuration apart.
-				var src, dst []geom.Point
-				for a, p := range cfg.Anchors {
-					src = append(src, seed[a])
-					dst = append(dst, p)
+				// pinning doesn't tear the configuration apart. Anchors are
+				// visited in ascending ID order so FitRigid's sums, and with
+				// them the seed, are the same on every run.
+				anchors := make([]int, 0, len(cfg.Anchors))
+				for a := range cfg.Anchors { // order-insensitive: sorted below
+					anchors = append(anchors, a)
+				}
+				sort.Ints(anchors)
+				src := make([]geom.Point, len(anchors))
+				dst := make([]geom.Point, len(anchors))
+				for k, a := range anchors {
+					src[k], dst[k] = seed[a], cfg.Anchors[a]
 				}
 				if tr, _, err := geom.FitRigid(src, dst); err == nil {
 					seed = tr.ApplyAll(seed)
