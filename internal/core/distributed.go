@@ -10,6 +10,7 @@ import (
 	"resilientloc/internal/measure"
 	"resilientloc/internal/network"
 	"resilientloc/internal/radio"
+	"resilientloc/internal/scratch"
 )
 
 // DistributedConfig parameterizes the distributed LSS algorithm of Section
@@ -119,10 +120,13 @@ func SolveDistributed(set *measure.Set, cfg DistributedConfig, rng *rand.Rand) (
 	network.LocalExchange(nw, func(i int) struct{} { return struct{}{} })
 
 	// Step 1: local localization. Each node solves LSS over itself and its
-	// neighbors.
+	// neighbors. The solves share one arena, released after each node once
+	// its positions are copied into the node's map.
 	localMaps := make(map[int]map[int]geom.Point, n)
+	ws := scratch.New()
 	for i := 0; i < n; i++ {
-		m := solveLocalMap(set, i, cfg.Local, rng)
+		m := solveLocalMap(ws, set, i, cfg.Local, rng)
+		ws.Release()
 		if m != nil {
 			localMaps[i] = m
 		}
@@ -209,9 +213,10 @@ func SolveDistributed(set *measure.Set, cfg DistributedConfig, rng *rand.Rand) (
 }
 
 // solveLocalMap builds node i's local relative map: LSS over i and its
-// neighbors using every measurement among them. It returns nil when the
-// neighborhood is too small or the local solve fails.
-func solveLocalMap(set *measure.Set, i int, cfg LSSConfig, rng *rand.Rand) map[int]geom.Point {
+// neighbors using every measurement among them, with the solver workspace
+// borrowed from ws. It returns nil when the neighborhood is too small or the
+// local solve fails. The returned map owns its positions.
+func solveLocalMap(ws *scratch.Arena, set *measure.Set, i int, cfg LSSConfig, rng *rand.Rand) map[int]geom.Point {
 	members := append([]int{i}, set.Neighbors(i)...)
 	if len(members) < 3 {
 		return nil
@@ -236,7 +241,7 @@ func solveLocalMap(set *measure.Set, i int, cfg LSSConfig, rng *rand.Rand) map[i
 	if sub.Len() < len(members) { // fewer measurements than nodes: hopeless
 		return nil
 	}
-	sol, err := SolveLSS(sub, cfg, rng)
+	sol, err := SolveLSSIn(ws, sub, cfg, rng)
 	if err != nil {
 		return nil
 	}

@@ -183,7 +183,7 @@ func TestSolveLocalMapTooSparse(t *testing.T) {
 	s, _ := measure.NewSet(4)
 	_ = s.Add(0, 1, 5, 1)
 	rng := rand.New(rand.NewSource(19))
-	if m := solveLocalMap(s, 0, DefaultLSSConfig(0), rng); m != nil {
+	if m := solveLocalMap(nil, s, 0, DefaultLSSConfig(0), rng); m != nil {
 		t.Error("local map from a single measurement should fail")
 	}
 }

@@ -200,7 +200,7 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 
 	best := ws.Points(n)
 	copy(best, cur)
-	bestErr := prob.objective(best)
+	bestErr := prob.evaluate(best, &prob.evals[0])
 	var bestHistory []float64
 	totalIters := 0
 
@@ -226,9 +226,9 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 				}
 			}
 			pinAnchors(seed)
-			final, history, iters := prob.descend(ws, seed, cfg)
+			final, history, iters, e := prob.descend(ws, seed, cfg)
 			totalIters += iters
-			if e := prob.objective(final); e < bestErr {
+			if e < bestErr {
 				bestErr = e
 				copy(best, final)
 				bestHistory = history
@@ -253,9 +253,9 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 			// Fresh random configuration: escapes reflection folds.
 			randomConfig(cur)
 		}
-		final, history, iters := prob.descend(ws, cur, cfg)
+		final, history, iters, e := prob.descend(ws, cur, cfg)
 		totalIters += iters
-		if e := prob.objective(final); e < bestErr {
+		if e < bestErr {
 			bestErr = e
 			copy(best, final)
 			bestHistory = history
@@ -265,7 +265,7 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 	return &LSSResult{
 		Positions:          best,
 		Error:              bestErr,
-		UnconstrainedError: prob.weightedStress(best),
+		UnconstrainedError: prob.weightedStress(best, prob.evals[0].dist),
 		Iterations:         totalIters,
 		History:            bestHistory,
 	}, nil
@@ -288,6 +288,24 @@ type lssProblem struct {
 	fixed []bool
 	dmin  float64
 	wd    float64
+	// evals are the two evaluation records a descent alternates between:
+	// the accepted point's and the trial step's.
+	evals [2]lssEval
+}
+
+// lssEval is what one evaluate call records about the point it evaluated,
+// for gradientAt at that same point: the distance of every measured pair,
+// and the soft pairs not outside dmin with their distances. The gradient reads
+// these instead of recomputing the distances, so it must only ever be
+// given the record of the point it is evaluated at.
+type lssEval struct {
+	// dist[k] is the distance of measured pair pairs[k].
+	dist []float64
+	// active holds the offsets into soft of the pairs closer than dmin or
+	// at a NaN distance, in soft-list order; activeDist[a] is the distance
+	// of pair active[a].
+	active     []int
+	activeDist []float64
 }
 
 func newLSSProblem(ws *scratch.Arena, set *measure.Set, cfg LSSConfig) *lssProblem {
@@ -320,6 +338,13 @@ func newLSSProblem(ws *scratch.Arena, set *measure.Set, cfg LSSConfig) *lssProbl
 			}
 		}
 	}
+	for k := range p.evals {
+		p.evals[k] = lssEval{
+			dist:       ws.Float64s(len(p.pairs)),
+			active:     ws.IntCap(len(p.soft) / 2),
+			activeDist: ws.Float64Cap(len(p.soft) / 2),
+		}
+	}
 	return p
 }
 
@@ -339,65 +364,83 @@ func (p *lssProblem) distanceScale() float64 {
 // minSeparation guards divisions by near-zero computed distances.
 const minSeparation = 1e-9
 
-// weightedStress computes Ew = Σ wij (‖pi−pj‖ − dij)².
-func (p *lssProblem) weightedStress(pos []geom.Point) float64 {
+// weightedStress computes Ew = Σ wij (‖pi−pj‖ − dij)², recording the
+// distance of measured pair k in dist[k].
+func (p *lssProblem) weightedStress(pos []geom.Point, dist []float64) float64 {
 	var e float64
-	for _, m := range p.pairs {
+	for k, m := range p.pairs {
 		d := pos[m.Pair.Lo].Dist(pos[m.Pair.Hi])
+		dist[k] = d
 		r := d - m.Distance
 		e += m.Weight * r * r
 	}
 	return e
 }
 
-// objective computes the full E including soft-constraint terms.
-func (p *lssProblem) objective(pos []geom.Point) float64 {
-	e := p.weightedStress(pos)
+// evaluate computes the full objective E, soft-constraint terms included,
+// and records into rec what gradientAt needs at the same point.
+//
+// A soft pair with |dx| ≥ dmin or |dy| ≥ dmin skips math.Hypot: Hypot is
+// never below max(|dx|, |dy|), even after rounding, so such a pair is never
+// inside dmin. The skip is exact. It is not taken when dx or dy is NaN,
+// since Hypot may then be NaN, which the gradient does not skip; an
+// infinite component is skipped, and its Hypot is +Inf, outside dmin.
+func (p *lssProblem) evaluate(pos []geom.Point, rec *lssEval) float64 {
+	e := p.weightedStress(pos, rec.dist)
+	rec.active, rec.activeDist = rec.active[:0], rec.activeDist[:0]
 	if p.dmin <= 0 {
 		return e
 	}
+	dmin := p.dmin
 	for k := 0; k < len(p.soft); k += 2 {
-		d := pos[p.soft[k]].Dist(pos[p.soft[k+1]])
-		if d < p.dmin {
-			r := d - p.dmin
+		a, b := pos[p.soft[k]], pos[p.soft[k+1]]
+		dx, dy := a.X-b.X, a.Y-b.Y
+		if (math.Abs(dx) >= dmin || math.Abs(dy) >= dmin) && !math.IsNaN(dx+dy) {
+			continue
+		}
+		d := math.Hypot(dx, dy)
+		if d >= dmin {
+			continue
+		}
+		// Inside dmin, or NaN: the gradient takes both, E only the former.
+		rec.active = append(rec.active, k)
+		rec.activeDist = append(rec.activeDist, d)
+		if d < dmin {
+			r := d - dmin
 			e += p.wd * r * r
 		}
 	}
 	return e
 }
 
-// gradient writes ∇E into grad (len 2n: x components then y components).
-func (p *lssProblem) gradient(pos []geom.Point, grad []float64) {
-	for i := range grad {
-		grad[i] = 0
-	}
+// gradientAt writes ∇E at pos into grad (len 2n: x components then y
+// components). rec must be the record evaluate left for this same pos.
+// The soft pairs are summed in soft-list order, as a full scan would.
+func (p *lssProblem) gradientAt(pos []geom.Point, rec *lssEval, grad []float64) {
+	clear(grad)
 	n := p.n
-	for _, m := range p.pairs {
-		i, j := m.Pair.Lo, m.Pair.Hi
-		dx := pos[i].X - pos[j].X
-		dy := pos[i].Y - pos[j].Y
-		d := math.Hypot(dx, dy)
+	for k, m := range p.pairs {
+		d := rec.dist[k]
 		if d < minSeparation {
 			continue // coincident points: zero gradient direction, skip
 		}
+		i, j := m.Pair.Lo, m.Pair.Hi
+		dx := pos[i].X - pos[j].X
+		dy := pos[i].Y - pos[j].Y
 		g := 2 * m.Weight * (d - m.Distance) / d
 		grad[i] += g * dx
 		grad[j] -= g * dx
 		grad[n+i] += g * dy
 		grad[n+j] -= g * dy
 	}
-	if p.dmin <= 0 {
-		p.zeroFixed(grad)
-		return
-	}
-	for k := 0; k < len(p.soft); k += 2 {
+	for a, k := range rec.active {
+		d := rec.activeDist[a]
+		if d < minSeparation {
+			continue
+		}
 		i, j := p.soft[k], p.soft[k+1]
 		dx := pos[i].X - pos[j].X
 		dy := pos[i].Y - pos[j].Y
-		d := math.Hypot(dx, dy)
-		if d >= p.dmin || d < minSeparation {
-			continue
-		}
 		g := 2 * p.wd * (d - p.dmin) / d
 		grad[i] += g * dx
 		grad[j] -= g * dx
@@ -419,11 +462,11 @@ func (p *lssProblem) zeroFixed(grad []float64) {
 }
 
 // descend runs one gradient-descent trajectory from start and returns the
-// final configuration, the per-iteration objective history, and the number
-// of iterations performed. In adaptive mode the step halves when it would
+// final configuration, the per-iteration objective history, the number of
+// iterations performed, and the final configuration's objective. In adaptive mode the step halves when it would
 // increase the objective (retrying the step) and grows on success; in fixed
 // mode the paper's constant-α rule applies verbatim.
-func (p *lssProblem) descend(ws *scratch.Arena, start []geom.Point, cfg LSSConfig) ([]geom.Point, []float64, int) {
+func (p *lssProblem) descend(ws *scratch.Arena, start []geom.Point, cfg LSSConfig) ([]geom.Point, []float64, int, float64) {
 	if cfg.Mode == StepFixed {
 		return p.descendFixed(ws, start, cfg)
 	}
@@ -434,26 +477,30 @@ func (p *lssProblem) descend(ws *scratch.Arena, start []geom.Point, cfg LSSConfi
 	grad := ws.Float64s(2 * n)
 	// +1 so the final append(history, e) below stays in place.
 	history := ws.Float64Cap(cfg.MaxIters + 1)
+	// ev is cur's evaluation record, evNext the trial step's; they swap
+	// along with the points.
+	ev, evNext := &p.evals[0], &p.evals[1]
 
-	e := p.objective(cur)
+	e := p.evaluate(cur, ev)
 	step := cfg.Step
 	plateau := 0
 	iters := 0
 	for it := 0; it < cfg.MaxIters; it++ {
 		iters++
 		history = append(history, e)
-		p.gradient(cur, grad)
+		p.gradientAt(cur, ev, grad)
 
 		improved := false
 		for attempt := 0; attempt < 40; attempt++ {
 			for i := 0; i < n; i++ {
 				next[i] = geom.Pt(cur[i].X-step*grad[i], cur[i].Y-step*grad[n+i])
 			}
-			ne := p.objective(next)
+			ne := p.evaluate(next, evNext)
 			if ne < e {
 				improved = true
 				relDrop := (e - ne) / (math.Abs(e) + 1e-30)
 				cur, next = next, cur
+				ev, evNext = evNext, ev
 				e = ne
 				step *= 1.5
 				if relDrop < cfg.Tol {
@@ -472,14 +519,14 @@ func (p *lssProblem) descend(ws *scratch.Arena, start []geom.Point, cfg LSSConfi
 			break // converged or stuck on a plateau at every step size
 		}
 	}
-	return cur, append(history, e), iters
+	return cur, append(history, e), iters, e
 }
 
 // descendFixed is the paper's Eq. (1) verbatim: constant-step gradient
 // descent. The only concession to float safety is halving the step when the
 // objective stops being finite (a divergence the paper's hand-tuned α
 // avoided by construction).
-func (p *lssProblem) descendFixed(ws *scratch.Arena, start []geom.Point, cfg LSSConfig) ([]geom.Point, []float64, int) {
+func (p *lssProblem) descendFixed(ws *scratch.Arena, start []geom.Point, cfg LSSConfig) ([]geom.Point, []float64, int, float64) {
 	n := p.n
 	cur := ws.Points(n)
 	copy(cur, start)
@@ -487,28 +534,31 @@ func (p *lssProblem) descendFixed(ws *scratch.Arena, start []geom.Point, cfg LSS
 	// +1 so the final append(history, e) below stays in place.
 	history := ws.Float64Cap(cfg.MaxIters + 1)
 
+	// The point moves in place, so one evaluation record serves it.
+	ev := &p.evals[0]
+
 	step := cfg.Step
-	e := p.objective(cur)
+	e := p.evaluate(cur, ev)
 	iters := 0
 	for it := 0; it < cfg.MaxIters; it++ {
 		iters++
 		history = append(history, e)
-		p.gradient(cur, grad)
+		p.gradientAt(cur, ev, grad)
 		for i := 0; i < n; i++ {
 			cur[i] = geom.Pt(cur[i].X-step*grad[i], cur[i].Y-step*grad[n+i])
 		}
-		e = p.objective(cur)
+		e = p.evaluate(cur, ev)
 		if math.IsNaN(e) || math.IsInf(e, 0) {
 			// Diverged: rewind the step and continue more cautiously.
 			for i := 0; i < n; i++ {
 				cur[i] = geom.Pt(cur[i].X+step*grad[i], cur[i].Y+step*grad[n+i])
 			}
 			step /= 2
-			e = p.objective(cur)
+			e = p.evaluate(cur, ev)
 			if step < 1e-15 {
 				break
 			}
 		}
 	}
-	return cur, append(history, e), iters
+	return cur, append(history, e), iters, e
 }
