@@ -1,24 +1,31 @@
 // Command benchdelta compares two benchmark records in the BENCH_engine.json
-// format (go test -bench -json, i.e. test2json event streams) and reports the
-// per-benchmark ns/op delta — the CI step that turns the uploaded benchmark
-// artifact into an actual regression signal instead of a write-only file.
-// When the records carry -benchmem columns, B/op and allocs/op are diffed
-// too, and any allocs/op increase is annotated: a benchmark that was
-// allocation-free picking up a steady-state per-trial allocation is a
-// regression the ns/op threshold can easily miss.
+// format (go test -bench -json, i.e. test2json event streams; plain
+// go test -bench output works too) and reports the per-benchmark ns/op
+// delta — the CI step that turns the uploaded benchmark artifact into an
+// actual regression signal instead of a write-only file.
+//
+// Records are meant to hold several samples per benchmark (-count 6 in CI).
+// Each side is summarized by its median, and a change counts only when the
+// two sample ranges separate: a regression is a median ns/op increase
+// beyond -threshold percent whose slowest old sample is still faster than
+// the fastest new one. With one sample per side this reduces to comparing
+// the two samples. When the records carry -benchmem columns, allocs/op is
+// compared the same way, and any separated increase is annotated: a
+// benchmark that was allocation-free picking up a steady-state per-trial
+// allocation is a regression the ns/op threshold can easily miss.
 //
 // Usage:
 //
 //	benchdelta [-threshold 10] [-annotate] [-fail] old.json new.json
 //
-// Benchmarks present in both files print as "old -> new (+delta%)"; ones
-// present in only one file are listed as new or gone. A regression is a
-// ns/op increase beyond -threshold percent, or any allocs/op increase:
-// -annotate emits a GitHub Actions ::warning:: line per regression (so the
-// run is annotated without failing), and -fail exits nonzero on ns/op
-// regressions, for use as a hard gate. A missing old file is not an error —
-// the first run of a pipeline has no baseline — it prints a note and exits
-// zero.
+// The report opens with each record's CPU model and GOMAXPROCS, and labels
+// the comparison cross-machine when they differ. Benchmarks present in both
+// files print as "old -> new (+delta%)" with their sample counts; ones
+// present in only one file are listed as new or gone. -annotate emits a
+// GitHub Actions ::warning:: line per regression (so the run is annotated
+// without failing), and -fail exits nonzero on ns/op regressions, for use
+// as a hard gate. A missing old file is not an error — the first run of a
+// pipeline has no baseline — it prints a note and exits zero.
 package main
 
 import (
@@ -30,6 +37,8 @@ import (
 	"os"
 	"regexp"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -40,12 +49,11 @@ func main() {
 	}
 }
 
-// benchLine matches a benchmark result line inside a test2json "output"
-// event: name (with the -GOMAXPROCS suffix), iteration count, ns/op, and the
-// optional -benchmem columns (B/op, allocs/op).
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(-\d+)?\s+\d+\s+([0-9.eE+]+) ns/op(?:\s+([0-9.eE+]+) B/op\s+([0-9.eE+]+) allocs/op)?`)
+// benchName matches the head of a benchmark result line: the name, the
+// optional -GOMAXPROCS suffix, and the iteration count.
+var benchName = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s`)
 
-// benchStat is one benchmark's parsed result. hasMem is set when the line
+// benchStat is one sample of one benchmark. hasMem is set when the line
 // carried -benchmem columns.
 type benchStat struct {
 	ns     float64
@@ -54,48 +62,141 @@ type benchStat struct {
 	hasMem bool
 }
 
-// parseBench extracts per-benchmark stats from a test2json stream. Repeated
-// results for one name keep the last, matching -count semantics.
-func parseBench(path string) (map[string]benchStat, error) {
+// record is one parsed benchmark file: every sample per benchmark name, in
+// file order, and the machine it was recorded on.
+type record struct {
+	samples map[string][]benchStat
+	cpu     string // the "cpu:" header go test prints, or "" if absent
+	procs   int    // GOMAXPROCS, from the benchmark names' -N suffix
+}
+
+// machine describes where a record was taken, for the report header.
+func (r record) machine() string {
+	cpu := r.cpu
+	if cpu == "" {
+		cpu = "unknown CPU"
+	}
+	return fmt.Sprintf("%s, GOMAXPROCS %d", cpu, r.procs)
+}
+
+// parseBench reads a benchmark record. test2json splits a result line over
+// several output events (the name is printed before the run, the numbers
+// after), so each test's output is reassembled into lines before parsing.
+// A line that is not a JSON event is taken as raw go test output.
+func parseBench(path string) (record, error) {
+	rec := record{samples: make(map[string][]benchStat), procs: 1}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return rec, err
 	}
 	defer f.Close()
-	out := make(map[string]benchStat)
+	pending := make(map[string]string) // test name → partial output line
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
 		var ev struct {
 			Action string `json:"Action"`
+			Test   string `json:"Test"`
 			Output string `json:"Output"`
 		}
-		if json.Unmarshal(sc.Bytes(), &ev) != nil || ev.Action != "output" {
+		if json.Unmarshal(sc.Bytes(), &ev) != nil {
+			rec.addLine(sc.Text())
 			continue
 		}
-		m := benchLine.FindStringSubmatch(ev.Output)
-		if m == nil {
+		if ev.Action != "output" {
 			continue
 		}
-		var st benchStat
-		if _, err := fmt.Sscanf(m[3], "%g", &st.ns); err != nil {
-			continue
-		}
-		if m[4] != "" && m[5] != "" {
-			if _, err := fmt.Sscanf(m[4], "%g", &st.bytes); err == nil {
-				if _, err := fmt.Sscanf(m[5], "%g", &st.allocs); err == nil {
-					st.hasMem = true
-				}
+		buf := pending[ev.Test] + ev.Output
+		for {
+			i := strings.IndexByte(buf, '\n')
+			if i < 0 {
+				break
 			}
+			rec.addLine(buf[:i])
+			buf = buf[i+1:]
 		}
-		out[m[1]] = st
+		pending[ev.Test] = buf
 	}
-	return out, sc.Err()
+	return rec, sc.Err()
+}
+
+// addLine records one line of go test output: the cpu header or a
+// benchmark result. Other lines are ignored.
+func (r *record) addLine(line string) {
+	if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+		r.cpu = strings.TrimSpace(cpu)
+		return
+	}
+	m := benchName.FindStringSubmatchIndex(line)
+	if m == nil {
+		return
+	}
+	name := line[m[2]:m[3]]
+	if m[4] >= 0 {
+		r.procs, _ = strconv.Atoi(line[m[4]:m[5]])
+	}
+	// The rest is "value unit" pairs: ns/op, custom metrics, B/op, allocs/op.
+	var st benchStat
+	var hasNs, hasBytes, hasAllocs bool
+	fields := strings.Fields(line[m[1]:])
+	for k := 0; k+1 < len(fields); k += 2 {
+		v, err := strconv.ParseFloat(fields[k], 64)
+		if err != nil {
+			return
+		}
+		switch fields[k+1] {
+		case "ns/op":
+			st.ns, hasNs = v, true
+		case "B/op":
+			st.bytes, hasBytes = v, true
+		case "allocs/op":
+			st.allocs, hasAllocs = v, true
+		}
+	}
+	if !hasNs {
+		return
+	}
+	st.hasMem = hasBytes && hasAllocs
+	r.samples[name] = append(r.samples[name], st)
+}
+
+// summary is one side of a comparison: the median and range of a field
+// over a benchmark's samples.
+type summary struct {
+	med, lo, hi float64
+	n           int
+}
+
+func summarize(samples []benchStat, field func(benchStat) float64) summary {
+	vs := make([]float64, len(samples))
+	for i, s := range samples {
+		vs[i] = field(s)
+	}
+	sort.Float64s(vs)
+	n := len(vs)
+	med := vs[n/2]
+	if n%2 == 0 {
+		med = (vs[n/2-1] + vs[n/2]) / 2
+	}
+	return summary{med: med, lo: vs[0], hi: vs[n-1], n: n}
+}
+
+// rose reports whether c is above o beyond doubt: its whole sample range
+// lies above o's.
+func rose(o, c summary) bool { return c.lo > o.hi }
+
+func allMem(samples []benchStat) bool {
+	for _, s := range samples {
+		if !s.hasMem {
+			return false
+		}
+	}
+	return true
 }
 
 func realMain(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("benchdelta", flag.ContinueOnError)
-	threshold := fs.Float64("threshold", 10, "ns/op increase (percent) that counts as a regression")
+	threshold := fs.Float64("threshold", 10, "median ns/op increase (percent) that counts as a regression when the sample ranges separate")
 	annotate := fs.Bool("annotate", false, "emit a GitHub Actions ::warning:: line per regression")
 	fail := fs.Bool("fail", false, "exit nonzero when any benchmark regresses beyond the threshold")
 	if err := fs.Parse(args); err != nil {
@@ -118,57 +219,74 @@ func realMain(args []string, out io.Writer) error {
 		return err
 	}
 
-	names := make([]string, 0, len(old)+len(cur))
-	seen := make(map[string]bool)
-	for n := range old {
-		names = append(names, n)
-		seen[n] = true
+	fmt.Fprintf(out, "old: %s\nnew: %s\n", old.machine(), cur.machine())
+	crossMachine := old.machine() != cur.machine()
+	where := ""
+	if crossMachine {
+		fmt.Fprintln(out, "cross-machine comparison: deltas mix code and hardware changes")
+		where = " (cross-machine)"
 	}
-	for n := range cur {
-		if !seen[n] {
+
+	names := make([]string, 0, len(old.samples)+len(cur.samples))
+	for n := range old.samples {
+		names = append(names, n)
+	}
+	for n := range cur.samples {
+		if _, ok := old.samples[n]; !ok {
 			names = append(names, n)
 		}
 	}
 	sort.Strings(names)
 
+	ns := func(s benchStat) float64 { return s.ns }
+	allocs := func(s benchStat) float64 { return s.allocs }
+	bytes := func(s benchStat) float64 { return s.bytes }
 	regressions := 0
 	for _, n := range names {
-		o, hasOld := old[n]
-		c, hasCur := cur[n]
+		oldS, hasOld := old.samples[n]
+		curS, hasCur := cur.samples[n]
 		switch {
 		case !hasCur:
-			fmt.Fprintf(out, "%-44s %12s -> %12s\n", n, fmtNs(o.ns), "(gone)")
+			fmt.Fprintf(out, "%-44s %12s -> %12s\n", n, fmtNs(summarize(oldS, ns).med), "(gone)")
+			continue
 		case !hasOld:
-			fmt.Fprintf(out, "%-44s %12s -> %12s\n", n, "(new)", fmtNs(c.ns))
-		default:
-			delta := (c.ns - o.ns) / o.ns * 100
-			mark := ""
-			if delta > *threshold {
-				regressions++
-				mark = "  REGRESSION"
-				if *annotate {
-					fmt.Fprintf(out, "::warning file=BENCH_engine.json::%s regressed %.1f%% (%s -> %s, threshold %.0f%%)\n",
-						n, delta, fmtNs(o.ns), fmtNs(c.ns), *threshold)
-				}
+			fmt.Fprintf(out, "%-44s %12s -> %12s\n", n, "(new)", fmtNs(summarize(curS, ns).med))
+			continue
+		}
+		o, c := summarize(oldS, ns), summarize(curS, ns)
+		delta := (c.med - o.med) / o.med * 100
+		mark := ""
+		if delta > *threshold && rose(o, c) {
+			regressions++
+			mark = "  REGRESSION"
+			if *annotate {
+				fmt.Fprintf(out, "::warning file=BENCH_engine.json::%s regressed %.1f%%%s (median %s -> %s, ranges [%s, %s] -> [%s, %s], threshold %.0f%%)\n",
+					n, delta, where, fmtNs(o.med), fmtNs(c.med), fmtNs(o.lo), fmtNs(o.hi), fmtNs(c.lo), fmtNs(c.hi), *threshold)
 			}
-			if o.hasMem && c.hasMem && c.allocs > o.allocs {
+		}
+		var oa, ca, ob, cb summary
+		mem := allMem(oldS) && allMem(curS)
+		if mem {
+			oa, ca = summarize(oldS, allocs), summarize(curS, allocs)
+			ob, cb = summarize(oldS, bytes), summarize(curS, bytes)
+			if rose(oa, ca) {
 				// New steady-state allocations are flagged regardless of the
 				// ns/op threshold: a single reintroduced per-trial allocation
 				// barely moves ns/op but silently re-engages the GC.
 				mark += "  ALLOCS"
 				if *annotate {
-					fmt.Fprintf(out, "::warning file=BENCH_engine.json::%s allocs/op rose %g -> %g (B/op %g -> %g)\n",
-						n, o.allocs, c.allocs, o.bytes, c.bytes)
+					fmt.Fprintf(out, "::warning file=BENCH_engine.json::%s allocs/op rose %g -> %g%s (B/op %g -> %g)\n",
+						n, oa.med, ca.med, where, ob.med, cb.med)
 				}
 			}
-			fmt.Fprintf(out, "%-44s %12s -> %12s  %+6.1f%%%s\n", n, fmtNs(o.ns), fmtNs(c.ns), delta, mark)
-			if o.hasMem && c.hasMem && (c.allocs != o.allocs || c.bytes != o.bytes) {
-				fmt.Fprintf(out, "%-44s %12g -> %12g  allocs/op (%g -> %g B/op)\n", "", o.allocs, c.allocs, o.bytes, c.bytes)
-			}
+		}
+		fmt.Fprintf(out, "%-44s %12s -> %12s  %+6.1f%%  (n=%d/%d)%s\n", n, fmtNs(o.med), fmtNs(c.med), delta, o.n, c.n, mark)
+		if mem && (ca.med != oa.med || cb.med != ob.med) {
+			fmt.Fprintf(out, "%-44s %12g -> %12g  allocs/op (%g -> %g B/op)\n", "", oa.med, ca.med, ob.med, cb.med)
 		}
 	}
 	if regressions > 0 && *fail {
-		return fmt.Errorf("%d benchmark(s) regressed beyond %.0f%%", regressions, *threshold)
+		return fmt.Errorf("%d benchmark(s) regressed beyond %.0f%%%s", regressions, *threshold, where)
 	}
 	return nil
 }
