@@ -146,7 +146,7 @@ func SolveDistributed(set *measure.Set, cfg DistributedConfig, rng *rand.Rand) (
 		if mi == nil {
 			continue
 		}
-		for j, mj := range heard[i] {
+		for j, mj := range heard[i] { // order-insensitive: one independent fit per edge key
 			if mj == nil {
 				continue
 			}
@@ -163,7 +163,7 @@ func SolveDistributed(set *measure.Set, cfg DistributedConfig, rng *rand.Rand) (
 		LocalMapSizes: make(map[int]int, len(localMaps)),
 		Transforms:    len(transforms),
 	}
-	for i, m := range localMaps {
+	for i, m := range localMaps { // order-insensitive: copies into a map
 		res.LocalMapSizes[i] = len(m)
 	}
 
@@ -205,7 +205,7 @@ func SolveDistributed(set *measure.Set, cfg DistributedConfig, rng *rand.Rand) (
 	}
 
 	res.MessagesSent = nw.MessagesSent()
-	for i := range res.Positions {
+	for i := range res.Positions { // order-insensitive: sorted below
 		res.Localized = append(res.Localized, i)
 	}
 	sort.Ints(res.Localized)

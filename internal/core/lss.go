@@ -167,7 +167,14 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 	if set.Len() == 0 {
 		return nil, errors.New("core: SolveLSS: empty measurement set")
 	}
-	for a := range cfg.Anchors {
+	// Anchor IDs in ascending order: validation names the lowest bad one,
+	// and the MDS-MAP registration below sums over them in a fixed order.
+	anchors := make([]int, 0, len(cfg.Anchors))
+	for a := range cfg.Anchors { // order-insensitive: sorted below
+		anchors = append(anchors, a)
+	}
+	sort.Ints(anchors)
+	for _, a := range anchors {
 		if a < 0 || a >= n {
 			return nil, fmt.Errorf("core: SolveLSS: anchor %d out of range (n=%d)", a, n)
 		}
@@ -184,7 +191,7 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 		perturb = 0.3 * prob.distanceScale()
 	}
 	pinAnchors := func(dst []geom.Point) {
-		for a, p := range cfg.Anchors {
+		for a, p := range cfg.Anchors { // order-insensitive: each anchor writes its own slot
 			dst[a] = p
 		}
 	}
@@ -208,14 +215,7 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 		if seed, err := SolveMDSMapIn(ws, set); err == nil {
 			if len(cfg.Anchors) >= 2 {
 				// Register the relative MDS map onto the anchor frame so
-				// pinning doesn't tear the configuration apart. Anchors are
-				// visited in ascending ID order so FitRigid's sums, and with
-				// them the seed, are the same on every run.
-				anchors := make([]int, 0, len(cfg.Anchors))
-				for a := range cfg.Anchors { // order-insensitive: sorted below
-					anchors = append(anchors, a)
-				}
-				sort.Ints(anchors)
+				// pinning doesn't tear the configuration apart.
 				src := make([]geom.Point, len(anchors))
 				dst := make([]geom.Point, len(anchors))
 				for k, a := range anchors {
@@ -322,7 +322,7 @@ func newLSSProblem(ws *scratch.Arena, set *measure.Set, cfg LSSConfig) *lssProbl
 		p.measured[m.Pair.Lo*n+m.Pair.Hi] = true
 		p.measured[m.Pair.Hi*n+m.Pair.Lo] = true
 	}
-	for a := range cfg.Anchors {
+	for a := range cfg.Anchors { // order-insensitive: each anchor sets its own flag
 		if a >= 0 && a < n {
 			p.fixed[a] = true
 		}

@@ -148,6 +148,8 @@ func SolveMultilaterationIn(ws *scratch.Arena, set *measure.Set, anchors map[int
 		return nil, errors.New("core: SolveMultilateration: no anchors")
 	}
 	n := set.N()
+	// order-insensitive: any out-of-range anchor rejects the call; only which
+	// one the error names depends on the visit order.
 	for a := range anchors {
 		if a < 0 || a >= n {
 			return nil, fmt.Errorf("core: SolveMultilateration: anchor %d out of range", a)
@@ -156,7 +158,7 @@ func SolveMultilaterationIn(ws *scratch.Arena, set *measure.Set, anchors map[int
 
 	known := make(map[int]geom.Point, len(anchors))
 	weight := make(map[int]float64, len(anchors))
-	for a, p := range anchors {
+	for a, p := range anchors { // order-insensitive: copies into maps
 		known[a] = p
 		weight[a] = 1
 	}

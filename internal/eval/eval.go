@@ -86,7 +86,7 @@ func AvgErrorAbsolute(est map[int]geom.Point, truth []geom.Point) (avg float64, 
 	// run, which breaks the bit-exact reproducibility the scenario engine
 	// guarantees.
 	nodes := make([]int, 0, len(est))
-	for i := range est {
+	for i := range est { // order-insensitive: sorted below
 		nodes = append(nodes, i)
 	}
 	sort.Ints(nodes)

@@ -285,6 +285,7 @@ func fig16Campaign(seed int64) engine.Campaign[*Result] {
 			r.Add("average error of localized", avg, "m")
 			r.Add("worst error", worst, "m")
 			var errs []float64
+			// order-insensitive: TrimmedAvg sorts the errors before summing
 			for i, p := range res.Positions {
 				errs = append(errs, p.Dist(dep.Positions[i]))
 			}

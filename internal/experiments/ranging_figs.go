@@ -107,6 +107,8 @@ func fig04Campaign(seed int64) engine.Campaign[*Result] {
 
 		directed := raw.Filter(measure.FilterMedian, 0)
 		var filtErrs []float64
+		// order-insensitive: only the |error| > 1 m fraction and the median
+		// |error| of filtErrs are reported, and neither depends on order.
 		for k, d := range directed {
 			truth := dep.Positions[k[0]].Dist(dep.Positions[k[1]])
 			filtErrs = append(filtErrs, d-truth)

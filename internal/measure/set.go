@@ -148,7 +148,7 @@ func (s *Set) AvgDegree() float64 {
 // Clone returns a deep copy.
 func (s *Set) Clone() *Set {
 	c := &Set{n: s.n, m: make(map[Pair]Measurement, len(s.m)), ks: append([]Pair(nil), s.ks...)}
-	for k, v := range s.m {
+	for k, v := range s.m { // order-insensitive: copies into a map
 		c.m[k] = v
 	}
 	return c
@@ -264,7 +264,7 @@ func (r *Raw) SignedErrors(dep *deploy.Deployment) []float64 {
 // TotalReadings returns the total number of raw readings stored.
 func (r *Raw) TotalReadings() int {
 	t := 0
-	for _, v := range r.readings {
+	for _, v := range r.readings { // order-insensitive: integer sum
 		t += len(v)
 	}
 	return t
@@ -339,7 +339,7 @@ func Merge(n int, directed map[[2]int]float64, opt MergeOptions) (*Set, error) {
 	done := make(map[Pair]bool)
 	// Deterministic iteration: sort the directed keys.
 	keys := make([][2]int, 0, len(directed))
-	for k := range directed {
+	for k := range directed { // order-insensitive: sorted below
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(a, b int) bool {

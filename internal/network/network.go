@@ -56,7 +56,7 @@ func New(n int, edges [][2]int, link radio.LinkModel, rng *rand.Rand) (*Network,
 		nw.adj[a] = append(nw.adj[a], b)
 		nw.adj[b] = append(nw.adj[b], a)
 	}
-	for _, nbrs := range nw.adj {
+	for _, nbrs := range nw.adj { // order-insensitive: sorts each list in place
 		sort.Ints(nbrs)
 	}
 	return nw, nil

@@ -145,10 +145,10 @@ func (q *QuantileSketch) Merge(b *QuantileSketch) error {
 	if b.gamma != q.gamma {
 		return errors.New("stats: QuantileSketch.Merge: mismatched accuracy")
 	}
-	for i, c := range b.pos {
+	for i, c := range b.pos { // order-insensitive: integer counts
 		q.pos[i] += c
 	}
-	for i, c := range b.neg {
+	for i, c := range b.neg { // order-insensitive: integer counts
 		q.neg[i] += c
 	}
 	q.zero += b.zero
@@ -191,7 +191,7 @@ func (q *QuantileSketch) Quantile(p float64) (float64, error) {
 
 func sortedKeys(m map[int]int64, descending bool) []int {
 	ks := make([]int, 0, len(m))
-	for k := range m {
+	for k := range m { // order-insensitive: sorted below
 		ks = append(ks, k)
 	}
 	sort.Ints(ks)
