@@ -265,7 +265,7 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 	return &LSSResult{
 		Positions:          best,
 		Error:              bestErr,
-		UnconstrainedError: prob.weightedStress(best, prob.evals[0].dist),
+		UnconstrainedError: prob.weightedStress(best, prob.evals[0].dist), // the descents are done with evals
 		Iterations:         totalIters,
 		History:            bestHistory,
 	}, nil
@@ -295,9 +295,9 @@ type lssProblem struct {
 
 // lssEval is what one evaluate call records about the point it evaluated,
 // for gradientAt at that same point: the distance of every measured pair,
-// and the soft pairs not outside dmin with their distances. The gradient reads
-// these instead of recomputing the distances, so it must only ever be
-// given the record of the point it is evaluated at.
+// and the soft pairs not outside dmin with their distances. The gradient
+// reads these instead of recomputing the distances, so it must only ever
+// be given the record of the point it is evaluated at.
 type lssEval struct {
 	// dist[k] is the distance of measured pair pairs[k].
 	dist []float64
@@ -463,9 +463,10 @@ func (p *lssProblem) zeroFixed(grad []float64) {
 
 // descend runs one gradient-descent trajectory from start and returns the
 // final configuration, the per-iteration objective history, the number of
-// iterations performed, and the final configuration's objective. In adaptive mode the step halves when it would
-// increase the objective (retrying the step) and grows on success; in fixed
-// mode the paper's constant-α rule applies verbatim.
+// iterations performed, and the final configuration's objective. In
+// adaptive mode the step halves when it would increase the objective
+// (retrying the step) and grows on success; in fixed mode the paper's
+// constant-α rule applies verbatim.
 func (p *lssProblem) descend(ws *scratch.Arena, start []geom.Point, cfg LSSConfig) ([]geom.Point, []float64, int, float64) {
 	if cfg.Mode == StepFixed {
 		return p.descendFixed(ws, start, cfg)
