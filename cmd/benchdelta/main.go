@@ -220,9 +220,8 @@ func realMain(args []string, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "old: %s\nnew: %s\n", old.machine(), cur.machine())
-	crossMachine := old.machine() != cur.machine()
 	where := ""
-	if crossMachine {
+	if old.machine() != cur.machine() {
 		fmt.Fprintln(out, "cross-machine comparison: deltas mix code and hardware changes")
 		where = " (cross-machine)"
 	}
