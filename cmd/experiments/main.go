@@ -8,7 +8,7 @@
 //
 //	experiments [-seed N] [-only fig06,fig18] [-parallel W] [-json]
 //	            [-suite-parallel C] [-cache DIR | -no-cache] [-cache-gc=off]
-//	            [-progress] [-progress-refresh 250ms]
+//	            [-progress]
 //	experiments -list
 //	experiments -only maxrange -param rounds=10
 //	experiments -spec jobs.json
@@ -146,7 +146,7 @@ func realMain(args []string, out io.Writer) error {
 		return err
 	}
 	if *workers != "" || *discover != "" {
-		if err := runDistributed(ctx, out, specs, *workers, *discover, !opts.NoReuse, *asJSON, *progress); err != nil {
+		if err := runDistributed(ctx, out, specs, *workers, *discover, !opts.NoReuse, *asJSON, opts.Progress); err != nil {
 			return err
 		}
 		return writeTrace(tracer, *traceFile)
@@ -229,20 +229,13 @@ func writeTrace(tracer *obs.Tracer, path string) error {
 // reuse is off (-no-reuse). Figure results are byte-identical to the local
 // path (figures carry no execution metadata), so -json output matches a
 // local run exactly.
-func runDistributed(ctx context.Context, out io.Writer, specs []spec.JobSpec, workers, discover string, reuse, asJSON, progress bool) error {
+func runDistributed(ctx context.Context, out io.Writer, specs []spec.JobSpec, workers, discover string, reuse, asJSON bool, progress io.Writer) error {
 	urls := coord.ParseWorkers(workers)
 	var results []*experiments.Result
 	for _, sp := range specs {
 		start := time.Now()
-		opts := coord.Options{Workers: urls, Discover: discover, Reuse: reuse, Warnings: os.Stderr}
-		var sb *coord.Scoreboard
-		if progress && !asJSON {
-			sb = coord.NewScoreboard(os.Stderr, sp.ID)
-			opts.OnProgress = sb.Progress
-			opts.OnScoreboard = sb.Update
-		}
+		opts := coord.Options{Workers: urls, Discover: discover, Reuse: reuse, Progress: progress, Warnings: os.Stderr}
 		val, st, err := coord.Execute(ctx, sp, opts)
-		sb.Final()
 		if err != nil {
 			return fmt.Errorf("%s: %w", sp.ID, err)
 		}

@@ -14,8 +14,11 @@
 //	locc -workers ... -kind figure -id maxrange -trace out.json
 //	locc -discover http://registry:8090 -kind scenario -id multilat-town [-reuse=false]
 //
-// On a terminal, progress renders as a live per-worker scoreboard (ranges
-// won, trials/sec, retries, stall hedges, steals). -trace writes the run's
+// Progress goes to stderr through the same renderer as the local CLIs: the
+// job's trial counter plus one row per active worker (ranges won,
+// trials/sec, retries, stall hedges, steals, reused trials), repainted in
+// place on a terminal; elsewhere the counter prints quarter milestones and
+// the rows print once, when the job ends. -trace writes the run's
 // full span tree — coordinator ranges and attempts, plus each winning
 // worker's job and engine-shard spans grafted beneath them — as Chrome
 // trace_event JSON, loadable in chrome://tracing or Perfetto.
@@ -113,7 +116,7 @@ func realMain(args []string, out, errOut io.Writer) error {
 	fs.Var(&pf, "param", "job parameter as name=value (repeatable; parameterized factories and experiments only)")
 	asJSON := fs.Bool("json", false, "emit results as a JSON array (figures and reports, naked)")
 	progress := fs.Bool("progress", true,
-		"print aggregate trial progress and a live per-worker scoreboard to stderr")
+		"print aggregate trial progress and per-worker rows to stderr")
 	traceFile := fs.String("trace", "",
 		"write the run's span tree (coordinator ranges, worker jobs, engine shards) as Chrome trace_event JSON to this file")
 	if err := fs.Parse(args); err != nil {
@@ -159,17 +162,13 @@ func realMain(args []string, out, errOut io.Writer) error {
 			StallTimeout:     *stall,
 			Warnings:         errOut,
 		}
-		var sb *coord.Scoreboard
 		if *progress && !*asJSON {
-			sb = coord.NewScoreboard(errOut, sp.ID)
-			opts.OnProgress = sb.Progress
-			opts.OnScoreboard = sb.Update
+			opts.Progress = errOut
 		}
 		start := time.Now()
 		// ExecuteAuto delegates to Execute for fixed-count specs, so one call
 		// covers both modes.
 		val, st, err := coord.ExecuteAuto(ctx, sp, opts)
-		sb.Final()
 		if err != nil {
 			return err
 		}

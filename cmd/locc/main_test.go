@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -146,6 +148,69 @@ func TestDistributedParamPointMatchesLocal(t *testing.T) {
 	wj, _ := json.Marshal(&want)
 	if string(gj) != string(wj) {
 		t.Errorf("distributed parameterized aggregates diverged\n got %s\nwant %s", gj, wj)
+	}
+}
+
+// TestCoordinatedProgressNonTTY runs one job with progress on into a plain
+// writer: the aggregate counter climbs to N/N without decreasing, each
+// active worker gets one summary row, no terminal control sequence
+// appears, and stdout is what the same run prints with progress off (the
+// run's elapsed times and scheduling-dependent worker counts aside).
+func TestCoordinatedProgressNonTTY(t *testing.T) {
+	workers := twoWorkers(t)
+	args := []string{"-workers", workers, "-kind", "scenario", "-id", "multilat-town",
+		"-seed", "2", "-trials", "16", "-shard-size", "2", "-reuse=false"}
+	var quiet, out, errOut bytes.Buffer
+	if err := realMain(append(args, "-progress=false"), &quiet, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := realMain(args, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	prog := errOut.String()
+	if strings.Contains(prog, "\x1b[") || strings.Contains(prog, "\r") {
+		t.Errorf("non-terminal progress carries control sequences: %q", prog)
+	}
+
+	counter := regexp.MustCompile(`^multilat-town +(\d+)/16 trials$`)
+	row := regexp.MustCompile(`^  worker (\S+): ranges=\d+ trials=\d+ trials/s=[0-9.]+ retries=\d+ hedges=\d+ steals=\d+ reused=\d+$`)
+	last := -1
+	rows := map[string]int{}
+	for _, l := range strings.Split(strings.TrimSuffix(prog, "\n"), "\n") {
+		if m := counter.FindStringSubmatch(l); m != nil {
+			done, _ := strconv.Atoi(m[1])
+			if done < last {
+				t.Errorf("counter decreased from %d to %d", last, done)
+			}
+			last = done
+		} else if m := row.FindStringSubmatch(l); m != nil {
+			rows[m[1]]++
+		} else if !strings.HasPrefix(l, "coord: ") { // steal and retry warnings share stderr
+			t.Errorf("unexpected progress line %q", l)
+		}
+	}
+	if last != 16 {
+		t.Errorf("counter ended at %d, want 16/16:\n%s", last, prog)
+	}
+	used := regexp.MustCompile(`over (\d+) workers`).FindStringSubmatch(out.String())
+	if used == nil {
+		t.Fatalf("no distributed summary in stdout:\n%s", out.String())
+	}
+	if n, _ := strconv.Atoi(used[1]); len(rows) != n {
+		t.Errorf("%d worker rows for %d active workers:\n%s", len(rows), n, prog)
+	}
+	for w, n := range rows {
+		if n != 1 || !strings.Contains(workers, w) {
+			t.Errorf("worker %s has %d summary rows, want one for a configured worker", w, n)
+		}
+	}
+
+	normalize := func(s string) string {
+		s = regexp.MustCompile(`\d+ workers, \d+\.\d+s`).ReplaceAllString(s, "N workers")
+		return regexp.MustCompile(`\(distributed: .*\)`).ReplaceAllString(s, "(distributed)")
+	}
+	if normalize(out.String()) != normalize(quiet.String()) {
+		t.Errorf("progress changed stdout\n--- progress on ---\n%s--- progress off ---\n%s", out.String(), quiet.String())
 	}
 }
 

@@ -138,7 +138,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *workers != "" || *discover != "" {
-		if err := runDistributed(ctx, out, specs, *workers, *discover, !opts.NoReuse, *asJSON, *progress); err != nil {
+		if err := runDistributed(ctx, out, specs, *workers, *discover, !opts.NoReuse, *asJSON, opts.Progress); err != nil {
 			return err
 		}
 		return writeTrace(tracer, *traceFile)
@@ -256,19 +256,12 @@ func writeTrace(tracer *obs.Tracer, path string) error {
 // run computes only the new trials. Aggregates are byte-identical to the
 // local path; the report's execution metadata describes the coordinated run
 // (distinct workers used, coordination wall time).
-func runDistributed(ctx context.Context, out io.Writer, specs []spec.JobSpec, workers, discover string, reuse, asJSON, progress bool) error {
+func runDistributed(ctx context.Context, out io.Writer, specs []spec.JobSpec, workers, discover string, reuse, asJSON bool, progress io.Writer) error {
 	urls := coord.ParseWorkers(workers)
 	var reports []*engine.Report
 	for _, sp := range specs {
-		opts := coord.Options{Workers: urls, Discover: discover, Reuse: reuse, Warnings: os.Stderr}
-		var sb *coord.Scoreboard
-		if progress && !asJSON {
-			sb = coord.NewScoreboard(os.Stderr, sp.ID)
-			opts.OnProgress = sb.Progress
-			opts.OnScoreboard = sb.Update
-		}
+		opts := coord.Options{Workers: urls, Discover: discover, Reuse: reuse, Progress: progress, Warnings: progressWriter}
 		val, _, err := coord.ExecuteAuto(ctx, sp, opts)
-		sb.Final()
 		if err != nil {
 			return fmt.Errorf("%s: %w", sp.ID, err)
 		}

@@ -90,6 +90,17 @@ func TestRunCachedScenario(t *testing.T) {
 	if !strings.Contains(progress.String(), "2/2 trials") {
 		t.Errorf("progress stream missing trial counter: %q", progress.String())
 	}
+	// A distributed run renders its counter and per-worker rows through the
+	// same writer.
+	progress.Reset()
+	if err := run([]string{"-run", "multilat-town", "-trials", "4", "-seed", "5", "-workers", distWorkers(t)}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"4/4 trials", "  worker http://"} {
+		if !strings.Contains(progress.String(), want) {
+			t.Errorf("distributed progress stream lacks %q: %q", want, progress.String())
+		}
+	}
 }
 
 // TestRunSuiteParallelMatchesSequential runs a whole suite overlapped and

@@ -47,6 +47,7 @@ import (
 
 	"resilientloc/internal/engine"
 	"resilientloc/internal/engine/fleet"
+	"resilientloc/internal/engine/run"
 	"resilientloc/internal/engine/spec"
 	"resilientloc/internal/obs"
 )
@@ -115,41 +116,16 @@ type Options struct {
 	// MaxAttempts caps submissions per range (initial + retries + hedges).
 	// 0 means 2×len(Workers), minimum 4.
 	MaxAttempts int
-	// OnProgress, when non-nil, receives the aggregate trials-completed
-	// counter across all ranges. Calls are serialized; done is
-	// non-decreasing.
-	OnProgress func(done, total int)
-	// OnScoreboard, when non-nil, receives a fresh per-worker scoreboard
-	// snapshot whenever a range completes or an attempt is retried or
-	// hedged. Calls are serialized; the slice is the callback's to keep.
-	OnScoreboard func([]WorkerScore)
+	// Progress, when non-nil, receives the job's live fleet view through
+	// the session renderer (run.NewProgress): the aggregate trial counter
+	// plus one row per worker that has done anything (ranges won,
+	// trials/sec, retries, stall hedges, steals, reused trials). On a
+	// terminal the block repaints in place and its final state stays on
+	// screen; elsewhere the counter prints quarter milestones and the rows
+	// print once, when Execute returns.
+	Progress io.Writer
 	// Warnings receives retry/hedge diagnostics; nil means os.Stderr.
 	Warnings io.Writer
-}
-
-// WorkerScore is one worker's row in the fleet scoreboard.
-type WorkerScore struct {
-	// Worker is the locd base URL.
-	Worker string
-	// Ranges counts the ranges this worker won (its result was merged).
-	Ranges int
-	// Trials is the total trial count of those won ranges.
-	Trials int
-	// Retries counts attempts on this worker that failed and were retried
-	// elsewhere.
-	Retries int
-	// Hedges counts attempts on this worker that stalled long enough for the
-	// coordinator to hedge the range onto another worker.
-	Hedges int
-	// Steals counts the times this worker, idle, took unsubmitted work from
-	// another worker's assignment.
-	Steals int
-	// ReusedTrials counts trials adopted from this worker's cache
-	// (Options.Reuse) instead of recomputed.
-	ReusedTrials int
-	// TrialsPerSec is Trials divided by the worker's cumulative winning-
-	// attempt wall time; 0 until the worker wins a range.
-	TrialsPerSec float64
 }
 
 // Stats summarizes one coordinated execution.
@@ -218,6 +194,7 @@ func Execute(ctx context.Context, sp spec.JobSpec, opts Options) (*spec.Value, S
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	defer c.prog.Done(c.job.Spec.ID)
 	ctx, jobSpan := obs.Start(ctx, "coord.job")
 	if jobSpan != nil {
 		jobSpan.SetAttr("job", sp.Hash()).SetAttr("scenario", job.Campaign.Scenario.Name).
@@ -272,23 +249,6 @@ func ParseWorkers(v string) []string {
 	return out
 }
 
-// MilestoneProgress returns an OnProgress callback printing
-// newline-delimited quarter-milestone lines ("id: done/total trials") to w
-// — the non-TTY convention of the local runner, shared by the coordinator
-// CLIs.
-func MilestoneProgress(w io.Writer, id string) func(done, total int) {
-	lastQuarter := -1
-	return func(done, total int) {
-		if total <= 0 {
-			return
-		}
-		if q := 4 * done / total; q > lastQuarter {
-			lastQuarter = q
-			fmt.Fprintf(w, "%s: %d/%d trials\n", id, done, total)
-		}
-	}
-}
-
 type coordinator struct {
 	job      spec.Resolved
 	client   *http.Client
@@ -298,10 +258,8 @@ type coordinator struct {
 	discover string
 	poll     time.Duration
 	reuseOn  bool
-	onProg   func(done, total int)
 	warn     io.Writer
-
-	onScore func([]WorkerScore)
+	prog     *run.Progress // renders this one job, keyed by its spec ID
 
 	mu      sync.Mutex
 	workers []string
@@ -335,13 +293,9 @@ type coordinator struct {
 	reusedRanges int
 	workersUsed  map[string]bool
 	scores       map[string]*workerTally
-
-	// scoreMu serializes OnScoreboard invocations outside c.mu, so a slow
-	// renderer never blocks range completions.
-	scoreMu sync.Mutex
 }
 
-// workerTally is the mutable accumulator behind one WorkerScore row.
+// workerTally is the mutable accumulator behind one worker's progress row.
 type workerTally struct {
 	ranges  int
 	trials  int
@@ -407,9 +361,8 @@ func newCoordinator(job spec.Resolved, opts Options) (*coordinator, error) {
 		discover:    opts.Discover,
 		poll:        poll,
 		reuseOn:     opts.Reuse,
-		onProg:      opts.OnProgress,
-		onScore:     opts.OnScoreboard,
 		warn:        warn,
+		prog:        run.NewProgress(opts.Progress),
 		assign:      make(map[string]*spec.Range),
 		departed:    make(map[string]bool),
 		discovered:  make(map[string]bool),
@@ -437,38 +390,32 @@ func (c *coordinator) tallyLocked(worker string) *workerTally {
 	return t
 }
 
-// Scoreboard snapshots the per-worker fleet scoreboard in the coordinator's
-// worker order (workers with no activity yet included, all-zero).
-func (c *coordinator) scoreboard() []WorkerScore {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]WorkerScore, len(c.workers))
-	for i, w := range c.workers {
-		out[i] = WorkerScore{Worker: w}
-		if t, ok := c.scores[w]; ok {
-			out[i].Ranges = t.ranges
-			out[i].Trials = t.trials
-			out[i].Retries = t.retries
-			out[i].Hedges = t.hedges
-			out[i].Steals = t.steals
-			out[i].ReusedTrials = t.reused
-			if secs := t.busy.Seconds(); secs > 0 {
-				out[i].TrialsPerSec = float64(t.trials) / secs
-			}
-		}
-	}
-	return out
-}
-
-// notifyScore pushes a fresh scoreboard snapshot to the OnScoreboard hook.
-func (c *coordinator) notifyScore() {
-	if c.onScore == nil {
+// renderLocked feeds the renderer the aggregate trial counter, labeled like
+// a local run of the same campaign, and one row per worker that has done
+// anything, in the coordinator's worker order. The caller holds c.mu, which
+// serializes the calls and keeps the counter monotone.
+func (c *coordinator) renderLocked() {
+	if c.prog == nil {
 		return
 	}
-	sb := c.scoreboard()
-	c.scoreMu.Lock()
-	c.onScore(sb)
-	c.scoreMu.Unlock()
+	done := 0
+	for _, d := range c.rangeDone {
+		done += d
+	}
+	var rows []string
+	for _, w := range c.workers {
+		t, ok := c.scores[w]
+		if !ok || t.ranges+t.retries+t.hedges+t.steals+t.reused == 0 {
+			continue
+		}
+		perSec := 0.0
+		if secs := t.busy.Seconds(); secs > 0 {
+			perSec = float64(t.trials) / secs
+		}
+		rows = append(rows, fmt.Sprintf("  worker %s: ranges=%d trials=%d trials/s=%.1f retries=%d hedges=%d steals=%d reused=%d",
+			w, t.ranges, t.trials, perSec, t.retries, t.hedges, t.steals, t.reused))
+	}
+	c.prog.Update(c.job.Spec.ID, c.job.Campaign.Scenario.Name, done, c.job.TotalTrials, rows...)
 }
 
 func (c *coordinator) stats() Stats {
@@ -550,13 +497,7 @@ func (c *coordinator) complete(i int, val *spec.Value, worker string, dur time.D
 		t.ranges++
 		t.trials += rg.Hi - rg.Lo
 		t.busy += dur
-		if c.onProg != nil {
-			done := 0
-			for _, d := range c.rangeDone {
-				done += d
-			}
-			c.onProg(done, c.job.TotalTrials)
-		}
+		c.renderLocked()
 	} else {
 		c.dedupLosses++
 	}
@@ -566,7 +507,6 @@ func (c *coordinator) complete(i int, val *spec.Value, worker string, dur time.D
 	} else {
 		obsDedupLoss.Inc()
 	}
-	c.notifyScore()
 	return won
 }
 
@@ -579,17 +519,16 @@ func (c *coordinator) addDedupLosses(n int) {
 	obsDedupLoss.Add(int64(n))
 }
 
-// progress records a range's trial counter from its event stream.
+// progress records a range's trial counter from its event stream. A stream
+// reports a range's last trial before its result arrives; that step is
+// rendered by complete, after the win is tallied, so the counter reaches
+// its total only together with every worker's final row.
 func (c *coordinator) progress(i, done int) {
 	c.mu.Lock()
 	if c.parts[i] == nil && done > c.rangeDone[i] {
 		c.rangeDone[i] = done
-		if c.onProg != nil {
-			sum := 0
-			for _, d := range c.rangeDone {
-				sum += d
-			}
-			c.onProg(sum, c.job.TotalTrials)
+		if rg := c.ranges[i]; done < rg.Hi-rg.Lo {
+			c.renderLocked()
 		}
 	}
 	c.mu.Unlock()
@@ -700,9 +639,9 @@ func (c *coordinator) runRange(ctx context.Context, i int, preferred string) err
 			c.mu.Lock()
 			c.retries++
 			c.tallyLocked(r.worker).retries++
+			c.renderLocked()
 			c.mu.Unlock()
 			obsRetries.Inc()
-			c.notifyScore()
 			if attempts < c.maxTry {
 				fmt.Fprintf(c.warn, "coord: %s range [%d, %d): worker %s failed (%v); retrying\n",
 					c.job.Spec.ID, rg.Lo, rg.Hi, r.worker, r.err)
@@ -717,10 +656,10 @@ func (c *coordinator) runRange(ctx context.Context, i int, preferred string) err
 				c.retries++
 				c.hedges++
 				c.tallyLocked(w).hedges++
+				c.renderLocked()
 				c.mu.Unlock()
 				obsRetries.Inc()
 				obsHedges.Inc()
-				c.notifyScore()
 				fmt.Fprintf(c.warn, "coord: %s range [%d, %d): worker %s stalled; hedging on another worker\n",
 					c.job.Spec.ID, rg.Lo, rg.Hi, w)
 				launch()

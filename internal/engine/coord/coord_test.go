@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -137,30 +139,73 @@ func TestCoordinatedMatchesGoldenCorpus(t *testing.T) {
 	}
 }
 
-// TestCoordinatorProgressAggregates: the aggregate progress counter reaches
-// trials and never decreases.
+// workerRow is one parsed per-worker summary row of the rendered progress.
+type workerRow struct {
+	worker                 string
+	ranges, trials, steals int
+	perSec                 float64
+}
+
+var (
+	counterRe   = regexp.MustCompile(`^\S+ +(\d+)/(\d+) trials$`)
+	workerRowRe = regexp.MustCompile(`^  worker (\S+): ranges=(\d+) trials=(\d+) trials/s=([0-9.]+) retries=\d+ hedges=\d+ steals=(\d+) reused=\d+$`)
+)
+
+// renderedProgress parses a coordinated job's non-terminal progress output
+// into its counter values (in print order) and per-worker summary rows,
+// failing on any line that is neither, and on any ANSI control sequence.
+func renderedProgress(t *testing.T, out string) (counters []int, total int, rows []workerRow) {
+	t.Helper()
+	if strings.Contains(out, "\x1b[") || strings.Contains(out, "\r") {
+		t.Errorf("non-terminal progress carries control sequences:\n%q", out)
+	}
+	for _, l := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		if m := counterRe.FindStringSubmatch(l); m != nil {
+			done, _ := strconv.Atoi(m[1])
+			total, _ = strconv.Atoi(m[2])
+			counters = append(counters, done)
+			continue
+		}
+		m := workerRowRe.FindStringSubmatch(l)
+		if m == nil {
+			t.Errorf("unexpected progress line %q", l)
+			continue
+		}
+		r := workerRow{worker: m[1]}
+		r.ranges, _ = strconv.Atoi(m[2])
+		r.trials, _ = strconv.Atoi(m[3])
+		r.perSec, _ = strconv.ParseFloat(m[4], 64)
+		r.steals, _ = strconv.Atoi(m[5])
+		rows = append(rows, r)
+	}
+	return counters, total, rows
+}
+
+// TestCoordinatorProgressAggregates: the rendered aggregate counter never
+// decreases and reaches the job's trial count.
 func TestCoordinatorProgressAggregates(t *testing.T) {
 	workers := []string{newWorker(t, run.Options{NoCache: true})}
-	last := 0
-	prev := -1
-	monotonic := true
+	var prog strings.Builder
 	val, _, err := coord.Execute(context.Background(),
 		spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 2, Trials: 8, ShardSize: 1},
-		coord.Options{Workers: workers, Warnings: io.Discard,
-			OnProgress: func(done, total int) {
-				if done < prev || total != 8 {
-					monotonic = false
-				}
-				prev, last = done, done
-			}})
+		coord.Options{Workers: workers, Warnings: io.Discard, Progress: &prog})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if val.Report == nil && val.Figure == nil && val.Partial != nil {
 		t.Fatalf("coordinator leaked a partial: %+v", val)
 	}
-	if !monotonic || last != 8 {
-		t.Errorf("progress ended %d (monotonic %v), want 8", last, monotonic)
+	counters, total, rows := renderedProgress(t, prog.String())
+	if total != 8 || len(counters) == 0 || counters[len(counters)-1] != 8 {
+		t.Fatalf("progress ended at %v of %d, want 8/8:\n%s", counters, total, prog.String())
+	}
+	for i := 1; i < len(counters); i++ {
+		if counters[i] < counters[i-1] {
+			t.Errorf("progress counter decreased: %v", counters)
+		}
+	}
+	if len(rows) != 1 || rows[0].worker != workers[0] || rows[0].trials != 8 {
+		t.Errorf("want one summary row crediting %s with 8 trials, got %+v", workers[0], rows)
 	}
 }
 
@@ -376,10 +421,9 @@ func TestCoordinatorTraceAndScoreboard(t *testing.T) {
 
 	tr := obs.NewTracer()
 	ctx := obs.WithTracer(context.Background(), tr)
-	var last []coord.WorkerScore
+	var prog strings.Builder
 	val, st, err := coord.Execute(ctx, sp, coord.Options{
-		Workers: workers, Warnings: io.Discard,
-		OnScoreboard: func(ws []coord.WorkerScore) { last = ws },
+		Workers: workers, Warnings: io.Discard, Progress: &prog,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -425,16 +469,17 @@ func TestCoordinatorTraceAndScoreboard(t *testing.T) {
 		}
 	}
 
-	// Scoreboard: the final snapshot accounts for every range and trial.
-	if len(last) != len(workers) {
-		t.Fatalf("scoreboard has %d rows, want %d", len(last), len(workers))
+	// Scoreboard: the summary rows account for every range and trial.
+	_, _, rows := renderedProgress(t, prog.String())
+	if len(rows) == 0 || len(rows) > len(workers) {
+		t.Fatalf("progress has %d worker rows, want 1..%d:\n%s", len(rows), len(workers), prog.String())
 	}
 	var ranges, trials int
-	for _, ws := range last {
-		ranges += ws.Ranges
-		trials += ws.Trials
-		if ws.Ranges > 0 && ws.TrialsPerSec <= 0 {
-			t.Errorf("worker %s won %d ranges but reports %g trials/s", ws.Worker, ws.Ranges, ws.TrialsPerSec)
+	for _, r := range rows {
+		ranges += r.ranges
+		trials += r.trials
+		if r.ranges > 0 && r.perSec <= 0 {
+			t.Errorf("worker %s won %d ranges but reports %g trials/s", r.worker, r.ranges, r.perSec)
 		}
 	}
 	if ranges != st.Ranges || trials != st.Trials {
@@ -443,43 +488,4 @@ func TestCoordinatorTraceAndScoreboard(t *testing.T) {
 	if st.Hedges != 0 || st.DedupLosses != 0 {
 		t.Errorf("healthy fleet recorded hedges=%d dedupLosses=%d, want 0/0", st.Hedges, st.DedupLosses)
 	}
-}
-
-// TestScoreboardNonTTY: on a non-terminal writer the scoreboard emits
-// quarter-milestone progress lines while live and per-worker summary rows
-// at Final — never ANSI control sequences.
-func TestScoreboardNonTTY(t *testing.T) {
-	var buf strings.Builder
-	sb := coord.NewScoreboard(&buf, "fig06")
-	sb.Progress(0, 8)
-	sb.Progress(4, 8)
-	sb.Update([]coord.WorkerScore{
-		{Worker: "http://w1", Ranges: 2, Trials: 6, TrialsPerSec: 12.5, Hedges: 1},
-		{Worker: "http://w2"},
-	})
-	sb.Progress(8, 8)
-	sb.Final()
-	sb.Final() // idempotent
-	out := buf.String()
-	if strings.Contains(out, "\x1b[") {
-		t.Errorf("non-TTY scoreboard emitted ANSI control sequences:\n%q", out)
-	}
-	for _, want := range []string{"fig06: 4/8 trials", "fig06: 8/8 trials",
-		"worker http://w1: ranges=2 trials=6 trials/s=12.5 retries=0 hedges=1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("scoreboard output lacks %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "http://w2") {
-		t.Errorf("idle worker should not get a summary row:\n%s", out)
-	}
-	if n := strings.Count(out, "http://w1"); n != 1 {
-		t.Errorf("Final printed the w1 summary %d times, want once", n)
-	}
-
-	// A nil scoreboard (progress off) must be a safe no-op.
-	var nilSB *coord.Scoreboard
-	nilSB.Progress(1, 2)
-	nilSB.Update(nil)
-	nilSB.Final()
 }

@@ -101,12 +101,14 @@ func (c *coordinator) nextChunk(worker string) (i int, ok bool) {
 	}
 	i = c.carveLocked(worker)
 	c.maybeDrainLocked()
+	if stole != nil {
+		c.renderLocked()
+	}
 	c.mu.Unlock()
 	if stole != nil {
 		obsSteals.Inc()
 		warnTo(c.warn, "coord: %s: idle worker %s stole [%d, %d) from %s\n",
 			c.job.Spec.ID, worker, stole.Lo, stole.Hi, victim)
-		c.notifyScore()
 	}
 	return i, true
 }
@@ -353,9 +355,6 @@ func (c *coordinator) syncFleet(urls []string) []string {
 	}
 	for _, w := range gone {
 		warnTo(c.warn, "coord: %s: worker %s left the fleet; reassigning its unsubmitted work\n", c.job.Spec.ID, w)
-	}
-	if len(added)+len(gone) > 0 {
-		c.notifyScore()
 	}
 	return added
 }

@@ -33,12 +33,12 @@ func TestDynamicStealingByteIdentity(t *testing.T) {
 	fast := newWorker(t, run.Options{NoCache: true})
 	slow := slowEventsProxy(t, newWorker(t, run.Options{NoCache: true}), 400*time.Millisecond)
 
-	var last []coord.WorkerScore
+	var prog strings.Builder
 	val, st, err := coord.Execute(context.Background(), sp, coord.Options{
 		Workers:      []string{slow, fast},
 		StallTimeout: -1, // isolate stealing from hedging
 		Warnings:     io.Discard,
-		OnScoreboard: func(ws []coord.WorkerScore) { last = ws },
+		Progress:     &prog,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,17 +52,18 @@ func TestDynamicStealingByteIdentity(t *testing.T) {
 	if st.Retries != 0 || st.Hedges != 0 || st.DedupLosses != 0 {
 		t.Errorf("stealing should not show up as retries/hedges: %+v", st)
 	}
+	_, _, rows := renderedProgress(t, prog.String())
 	stealRows := 0
-	for _, ws := range last {
-		if ws.Steals > 0 {
+	for _, r := range rows {
+		if r.steals > 0 {
 			stealRows++
-			if ws.Worker != fast {
-				t.Errorf("steals credited to %s, want the fast worker %s", ws.Worker, fast)
+			if r.worker != fast {
+				t.Errorf("steals credited to %s, want the fast worker %s", r.worker, fast)
 			}
 		}
 	}
 	if stealRows == 0 {
-		t.Errorf("scoreboard shows no steals: %+v", last)
+		t.Errorf("scoreboard shows no steals:\n%s", prog.String())
 	}
 }
 

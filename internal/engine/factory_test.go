@@ -156,16 +156,25 @@ func factoryGoldenPath(name string, seed int64) string {
 	return filepath.Join("testdata", "golden", fmt.Sprintf("%s_seed%d.golden", name, seed))
 }
 
-// TestGoldenFactoryWorkloads pins the new parameterized workloads at seeds 1
-// and 5 across worker counts, exactly like the figure corpus: the golden
-// bytes are the serial run's JSON report with execution metadata cleared.
+// TestGoldenFactoryWorkloads pins the parameterized workloads and every
+// library scenario at seeds 1 and 5 across worker counts, exactly like the
+// figure corpus: the golden bytes are the serial run's JSON report with
+// execution metadata cleared, so every float is pinned at full precision
+// and the 8-worker run must reproduce the serial bytes in process. Library
+// scenarios run 2 trials in 1-trial shards, which keeps them cheap while
+// still merging more than one shard.
 func TestGoldenFactoryWorkloads(t *testing.T) {
-	points := []struct {
-		factory string
-		p       params.Map
-	}{
-		{"mobility-waypoint", params.Map{"speed_mps": params.Num(1.5), "epoch_s": params.Num(4)}},
-		{"ranging-mixed-env", nil},
+	type point struct {
+		factory           string
+		p                 params.Map
+		trials, shardSize int // 0 = the scenario's defaults
+	}
+	points := []point{
+		{factory: "mobility-waypoint", p: params.Map{"speed_mps": params.Num(1.5), "epoch_s": params.Num(4)}},
+		{factory: "ranging-mixed-env"},
+	}
+	for _, s := range Library() {
+		points = append(points, point{factory: s.Name, trials: 2, shardSize: 1})
 	}
 	for _, pt := range points {
 		for _, seed := range []int64{1, 5} {
@@ -178,7 +187,7 @@ func TestGoldenFactoryWorkloads(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rep := mustRun(t, Config{Workers: workers, Seed: seed}, s)
+					rep := mustRun(t, Config{Workers: workers, Seed: seed, Trials: pt.trials, ShardSize: pt.shardSize}, s)
 					rep.ClearExecutionMeta()
 					got, err := json.MarshalIndent(rep, "", "  ")
 					if err != nil {

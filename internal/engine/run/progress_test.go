@@ -5,13 +5,14 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 )
 
 // newTTYProgress builds a renderer forced onto the terminal path so the
 // status-block rendering is testable against a plain buffer.
-func newTTYProgress(w *bytes.Buffer) *progress {
-	return &progress{w: w, tty: true, lines: map[string]string{}, milestones: map[string]int{}}
+func newTTYProgress(w *bytes.Buffer) *Progress {
+	p := NewProgress(w)
+	p.tty = true
+	return p
 }
 
 func TestTTYStatusBlockRendersConcurrentCampaigns(t *testing.T) {
@@ -35,8 +36,8 @@ func TestTTYStatusBlockRendersConcurrentCampaigns(t *testing.T) {
 
 	b(2, 2) // beta completes: its line becomes permanent, alpha stays active
 	a(4, 4) // alpha completes: block empties
-	p.done("alpha")
-	p.done("beta")
+	p.Done("alpha")
+	p.Done("beta")
 
 	out := buf.String()
 	ia := strings.LastIndex(out, "alpha                           4/4 trials")
@@ -83,49 +84,86 @@ func TestSuspendProtectsInterleavedOutput(t *testing.T) {
 	}
 }
 
-// TestTTYRefreshThrottle: with a refresh interval, pure counter repaints
-// within the interval are suppressed (the state still accumulates), while
-// completion lines always render immediately.
-func TestTTYRefreshThrottle(t *testing.T) {
-	var buf bytes.Buffer
-	clock := time.Unix(1000, 0)
-	p := newTTYProgress(&buf)
-	p.refresh = 100 * time.Millisecond
-	p.now = func() time.Time { return clock }
-	cb := p.callback("job", "job")
-
-	cb(1, 10) // first repaint: lastDraw is zero, interval elapsed
-	if !strings.Contains(buf.String(), "1/10") {
-		t.Fatalf("first update did not draw: %q", buf.String())
-	}
-	mark := buf.Len()
-	cb(2, 10) // within the interval: suppressed
-	if buf.Len() != mark {
-		t.Errorf("throttled update still drew: %q", buf.String()[mark:])
-	}
-	clock = clock.Add(150 * time.Millisecond)
-	cb(3, 10) // interval elapsed: repaints with the latest counter
-	if !strings.Contains(buf.String()[mark:], "3/10") {
-		t.Errorf("post-interval update did not draw the latest counter: %q", buf.String()[mark:])
-	}
-	mark = buf.Len()
-	cb(10, 10) // completion: permanent line bypasses the throttle
-	if !strings.Contains(buf.String()[mark:], "10/10") {
-		t.Errorf("completion line was throttled: %q", buf.String()[mark:])
-	}
-}
-
 func TestProgressDoneResetsMilestones(t *testing.T) {
 	var buf bytes.Buffer
-	p := newProgress(&buf, 0)
+	p := NewProgress(&buf)
 	cb := p.callback("again", "again")
 	cb(4, 4)
-	p.done("again")
+	p.Done("again")
 	cb = p.callback("again", "again")
 	cb(4, 4) // a re-run of the same campaign must report afresh
 	if got := strings.Count(buf.String(), "4/4 trials"); got != 2 {
 		t.Errorf("re-run milestone emitted %d times, want 2: %q", got, buf.String())
 	}
+}
+
+// TestTTYRowsRepaintInJobBlock: a job's detail rows are drawn beneath its
+// counter line inside the status block, repainted with it, and left on
+// screen with it when the counter completes; retiring the job afterwards
+// draws nothing.
+func TestTTYRowsRepaintInJobBlock(t *testing.T) {
+	var buf bytes.Buffer
+	p := newTTYProgress(&buf)
+	p.Update("local", "local", 1, 4)
+	p.Update("fleet", "fleet", 2, 8, "  worker a: ranges=1")
+	if p.drawn != 3 {
+		t.Errorf("block occupies %d lines, want 3 (two counters, one row)", p.drawn)
+	}
+	buf.Reset()
+	p.Update("fleet", "fleet", 8, 8, "  worker a: ranges=1", "  worker b: ranges=2")
+	out := buf.String()
+	if !strings.HasPrefix(out, "\r\x1b[3A\x1b[J") {
+		t.Errorf("repaint did not erase the three-line block first: %q", out)
+	}
+	want := "fleet                           8/8 trials\n  worker a: ranges=1\n  worker b: ranges=2\nlocal"
+	if !strings.Contains(out, want) {
+		t.Errorf("completed job's counter and rows not printed above the block:\n%q", out)
+	}
+	if p.drawn != 1 || len(p.order) != 1 {
+		t.Errorf("after completion the block holds drawn=%d order=%v, want only the local job", p.drawn, p.order)
+	}
+	mark := buf.Len()
+	p.Done("fleet")
+	if buf.Len() != mark {
+		t.Errorf("retiring the finished job drew again: %q", buf.String()[mark:])
+	}
+}
+
+// TestNonTTYRowsPrintOnceAtDone: on a plain writer a job's rows stay off
+// the log while it runs and print once, in their latest form, when the job
+// is retired; retiring it again prints nothing.
+func TestNonTTYRowsPrintOnceAtDone(t *testing.T) {
+	var buf bytes.Buffer
+	p := NewProgress(&buf)
+	p.Update("fleet", "fleet", 4, 8, "  worker a: ranges=1")
+	p.Update("fleet", "fleet", 8, 8, "  worker a: ranges=2", "  worker b: ranges=1")
+	if strings.Contains(buf.String(), "worker") {
+		t.Errorf("rows printed before the job was retired: %q", buf.String())
+	}
+	p.Done("fleet")
+	p.Done("fleet")
+	want := "fleet                           4/8 trials\n" +
+		"fleet                           8/8 trials\n" +
+		"  worker a: ranges=2\n  worker b: ranges=1\n"
+	if got := buf.String(); got != want {
+		t.Errorf("non-TTY output\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestNilProgressIsNoOp: progress off is a nil renderer, and every method
+// on it is safe.
+func TestNilProgressIsNoOp(t *testing.T) {
+	p := NewProgress(nil)
+	if p != nil {
+		t.Fatal("NewProgress(nil) returned a renderer")
+	}
+	if p.callback("x", "x") != nil {
+		t.Error("nil renderer handed out a callback")
+	}
+	p.Update("x", "x", 1, 2, "row")
+	p.suspend()
+	p.resume()
+	p.Done("x")
 }
 
 func TestIsTTY(t *testing.T) {

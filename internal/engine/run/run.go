@@ -102,10 +102,6 @@ type Options struct {
 	// for each campaign as its shards finish: an in-place status block on a
 	// terminal, newline-delimited milestone lines elsewhere.
 	Progress io.Writer
-	// ProgressRefresh bounds how often the TTY status block repaints: at
-	// most once per interval (completion lines always render immediately).
-	// 0 repaints on every update, which is the historical behavior.
-	ProgressRefresh time.Duration
 	// OnProgress, when non-nil, receives the same streaming trial counters
 	// keyed by job ID (spec.JobSpec.Hash) instead of rendered text — the
 	// hook the locd event streams are wired to. Calls are serialized per
@@ -121,7 +117,7 @@ type Options struct {
 }
 
 // RegisterCommon registers the flags shared by every campaign CLI:
-// -parallel, -seed, -cache, -no-cache, -cache-gc, -progress-refresh. Flags
+// -parallel, -seed, -cache, -no-cache, -cache-gc, -no-reuse. Flags
 // whose applicability varies (like -trials) have their own Register helpers.
 func (o *Options) RegisterCommon(fs *flag.FlagSet) {
 	fs.IntVar(&o.Workers, "parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
@@ -131,8 +127,6 @@ func (o *Options) RegisterCommon(fs *flag.FlagSet) {
 	fs.StringVar(&o.CacheGC, "cache-gc", "on", "opportunistic cache garbage collection (on|off)")
 	fs.BoolVar(&o.NoReuse, "no-reuse", false,
 		"disable the prefix-reuse planner (always compute full runs from scratch)")
-	fs.DurationVar(&o.ProgressRefresh, "progress-refresh", 0,
-		"minimum interval between terminal status-block repaints (0 = repaint on every update)")
 }
 
 // RegisterTrials registers the -trials override. Scenario CLIs expose it;
@@ -221,7 +215,7 @@ type Session struct {
 	opts  Options
 	cache *cache.Cache
 	warn  io.Writer
-	prog  *progress
+	prog  *Progress
 
 	mu             sync.Mutex
 	trialsExecuted int
@@ -246,9 +240,6 @@ func NewSession(opts Options) (*Session, error) {
 	if opts.SuiteParallel < 0 {
 		return nil, fmt.Errorf("run: negative suite parallelism %d", opts.SuiteParallel)
 	}
-	if opts.ProgressRefresh < 0 {
-		return nil, fmt.Errorf("run: negative progress refresh %v", opts.ProgressRefresh)
-	}
 	gc := true
 	switch opts.CacheGC {
 	case "", "on":
@@ -263,7 +254,7 @@ func NewSession(opts Options) (*Session, error) {
 	s := &Session{
 		opts:     opts,
 		warn:     opts.Warnings,
-		prog:     newProgress(opts.Progress, opts.ProgressRefresh),
+		prog:     NewProgress(opts.Progress),
 		keyLocks: make(map[string]*sync.Mutex),
 	}
 	// Validate the flag-level engine configuration eagerly so errors surface
@@ -535,7 +526,7 @@ func executeResolved(ctx context.Context, s *Session, job spec.Resolved) (_ *spe
 	if err != nil {
 		return nil, Info{}, err
 	}
-	defer s.prog.done(jobID)
+	defer s.prog.Done(jobID)
 	trials, shardSize := engine.CampaignConfig(runner, c)
 	// A proper trial sub-range executes partially: the result is the
 	// range's serialized shard aggregates (spec.Value.Partial), not a

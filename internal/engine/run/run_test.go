@@ -311,9 +311,6 @@ func TestSessionRejectsBadOptions(t *testing.T) {
 	if _, err := run.NewSession(run.Options{CacheGC: "sometimes"}); err == nil {
 		t.Error("want error for invalid cache-gc value")
 	}
-	if _, err := run.NewSession(run.Options{ProgressRefresh: -time.Second}); err == nil {
-		t.Error("want error for negative progress refresh")
-	}
 }
 
 // fastFigJobs resolves the suite jobs for fastFigs.
