@@ -585,6 +585,45 @@ func BenchmarkTrialLSS(b *testing.B) {
 	}
 }
 
+// BenchmarkTrialLSSGrid measures fig18's solve — constrained LSS on the
+// grass-grid field set, random seeding only — at 20 restart rounds instead
+// of 150. Unlike BenchmarkTrialLSS's two restart pairs, its ten pairs show
+// what running each perturbation round beside the next fresh-random round
+// buys.
+func BenchmarkTrialLSSGrid(b *testing.B) {
+	// The field set as fig18 builds it for seed 1 (gridFieldSet in
+	// internal/experiments).
+	rng := rand.New(rand.NewSource(1))
+	dep := deploy.PaperGrid()
+	dep.Positions = dep.Positions[:46]
+	svc, err := ranging.NewService(ranging.DefaultConfig(acoustics.Grass()), dep, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	set, err := svc.CampaignSet(3, 21, measure.FilterMedian, measure.DefaultMergeOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	measure.Sparsify(set, 124, rng)
+	cfg := core.DefaultLSSConfig(9.14)
+	cfg.SeedMDSMap = false
+	cfg.Restarts = 20
+	cfg.MaxIters = 6000
+	ws := scratch.New()
+	trial := func() {
+		if _, err := core.SolveLSSIn(ws, set, cfg, rand.New(rand.NewSource(11))); err != nil {
+			b.Fatal(err)
+		}
+		ws.Release()
+	}
+	trial() // warm the arena so allocs/op reports the steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trial()
+	}
+}
+
 // BenchmarkTrialMultilateration measures one multilat-town trial's solve:
 // anchor-based multilateration with the consistency check on, over a random
 // town deployment.

@@ -153,6 +153,19 @@ func SolveLSS(set *measure.Set, cfg LSSConfig, rng *rand.Rand) (*LSSResult, erro
 // histories, and the MDS-MAP seed path — borrowed from ws (nil ws
 // allocates). The returned result's Positions and History are arena-owned:
 // valid only until ws's next Release; copy them out to keep them longer.
+//
+// The descents run two at a time, with every output bit as one serial
+// loop over them would give: (MDS-MAP seed ∥ round 0), then (1 ∥ 2),
+// (3 ∥ 4), and so on. A fresh-random round draws only from rng and never
+// reads the best configuration, and the count and order of a perturbation
+// round's draws do not depend on the configuration it perturbs. So both
+// starts of a pair are drawn in the serial order — the odd round's
+// normals, then the even round's uniforms — before either descent starts.
+// The odd round (or the MDS-MAP seed) descends on the calling goroutine,
+// the fresh-random round on one helper goroutine per solve, and the
+// results merge in round order under the strict e < best rule. The helper
+// runs outside the engine's worker budget, so one solve may keep two cores
+// busy.
 func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Rand) (*LSSResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: SolveLSS: %w", err)
@@ -168,7 +181,7 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 		return nil, errors.New("core: SolveLSS: empty measurement set")
 	}
 	// Anchor IDs in ascending order: validation names the lowest bad one,
-	// and the MDS-MAP registration below sums over them in a fixed order.
+	// and the MDS-MAP registration sums over them in a fixed order.
 	anchors := make([]int, 0, len(cfg.Anchors))
 	for a := range cfg.Anchors { // order-insensitive: sorted below
 		anchors = append(anchors, a)
@@ -202,64 +215,69 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 		pinAnchors(dst)
 	}
 
-	cur := ws.Points(n)
-	randomConfig(cur)
+	fresh := ws.Points(n) // round 0's start, then each fresh-random round's
+	randomConfig(fresh)
 
 	best := ws.Points(n)
-	copy(best, cur)
+	copy(best, fresh)
 	bestErr := prob.evaluate(best, &prob.evals[0])
 	var bestHistory []float64
 	totalIters := 0
-
-	if cfg.SeedMDSMap && set.Connected() {
-		if seed, err := SolveMDSMapIn(ws, set); err == nil {
-			if len(cfg.Anchors) >= 2 {
-				// Register the relative MDS map onto the anchor frame so
-				// pinning doesn't tear the configuration apart.
-				src := make([]geom.Point, len(anchors))
-				dst := make([]geom.Point, len(anchors))
-				for k, a := range anchors {
-					src[k], dst[k] = seed[a], cfg.Anchors[a]
-				}
-				if tr, _, err := geom.FitRigid(src, dst); err == nil {
-					seed = tr.ApplyAll(seed)
-				}
-			}
-			pinAnchors(seed)
-			final, history, iters, e := prob.descend(ws, seed, cfg)
-			totalIters += iters
-			if e < bestErr {
-				bestErr = e
-				copy(best, final)
-				bestHistory = history
-			}
-		}
-	}
-
-	for round := 0; round <= cfg.Restarts; round++ {
-		switch {
-		case round == 0:
-			// descend from the initial random configuration
-		case round%2 == 1:
-			// Perturb the best configuration so far (the paper's rule).
-			for i := range cur {
-				cur[i] = geom.Pt(
-					best[i].X+rng.NormFloat64()*perturb,
-					best[i].Y+rng.NormFloat64()*perturb,
-				)
-			}
-			pinAnchors(cur)
-		default:
-			// Fresh random configuration: escapes reflection folds.
-			randomConfig(cur)
-		}
-		final, history, iters, e := prob.descend(ws, cur, cfg)
+	keep := func(final []geom.Point, history []float64, iters int, e float64) {
 		totalIters += iters
 		if e < bestErr {
 			bestErr = e
 			copy(best, final)
 			bestHistory = history
 		}
+	}
+
+	perturbed := ws.Points(n)
+	var h *lssHelper // started by the first pair of two descents
+	for round := -1; round <= cfg.Restarts; round += 2 {
+		// A pair's first descent starts from the MDS-MAP seed before round
+		// 0, then from each odd round's perturbation of the best
+		// configuration so far (the paper's rule).
+		first := round > 0 || cfg.SeedMDSMap && set.Connected()
+		if round > 0 {
+			for i := range perturbed {
+				perturbed[i] = geom.Pt(
+					best[i].X+rng.NormFloat64()*perturb,
+					best[i].Y+rng.NormFloat64()*perturb,
+				)
+			}
+			pinAnchors(perturbed)
+		}
+		// Its second is round 0 from the initial draw, then each even
+		// round from a fresh random configuration, which escapes
+		// reflection folds.
+		second := round+1 <= cfg.Restarts
+		if second && round > 0 {
+			randomConfig(fresh)
+		}
+		if !first {
+			keep(prob.descend(ws, fresh, cfg)) // a lone descent runs inline
+			continue
+		}
+		if second {
+			if h == nil {
+				h = startLSSHelper(ws, prob, cfg)
+			}
+			h.starts <- fresh
+		}
+		if round > 0 {
+			keep(prob.descend(ws, perturbed, cfg))
+		} else if seed, err := mdsMapStart(ws, set, cfg, anchors); err == nil {
+			pinAnchors(seed)
+			keep(prob.descend(ws, seed, cfg))
+		}
+		if second {
+			d := <-h.done
+			keep(d.final, d.history, d.iters, d.e)
+		}
+	}
+	if h != nil {
+		h.starts <- nil
 	}
 
 	return &LSSResult{
@@ -270,6 +288,76 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 		History:            bestHistory,
 	}, nil
 }
+
+// mdsMapStart returns the MDS-MAP configuration as a descent start. With
+// two or more anchors the relative map is registered onto the anchor frame,
+// so pinning them doesn't tear the configuration apart.
+func mdsMapStart(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, anchors []int) ([]geom.Point, error) {
+	seed, err := SolveMDSMapIn(ws, set)
+	if err != nil || len(anchors) < 2 {
+		return seed, err
+	}
+	src := make([]geom.Point, len(anchors))
+	dst := make([]geom.Point, len(anchors))
+	for k, a := range anchors {
+		src[k], dst[k] = seed[a], cfg.Anchors[a]
+	}
+	if tr, _, err := geom.FitRigid(src, dst); err == nil {
+		seed = tr.ApplyAll(seed)
+	}
+	return seed, nil
+}
+
+// lssHelper is the goroutine that runs each pair's fresh-random round, with
+// a workspace of its own: an arena, and a copy of the solve's problem that
+// shares its tables read-only but has its own evaluation records. It is
+// stashed in the solve's arena, so its channels and arena slots are reused
+// from solve to solve, and ws's Release rewinds its arena: a winning
+// History borrowed from the helper's arena lives exactly as long as one
+// borrowed from ws.
+type lssHelper struct {
+	ws     scratch.Arena
+	prob   lssProblem
+	cfg    LSSConfig
+	starts chan []geom.Point // a round's start; nil ends the goroutine
+	done   chan lssDescent
+}
+
+// lssDescent is one descent's result, as descend returns it.
+type lssDescent struct {
+	final   []geom.Point
+	history []float64
+	iters   int
+	e       float64
+}
+
+// startLSSHelper readies the solve's helper and starts its goroutine.
+func startLSSHelper(ws *scratch.Arena, prob *lssProblem, cfg LSSConfig) *lssHelper {
+	h := ws.Stash("core.lssHelper", func() any {
+		return &lssHelper{starts: make(chan []geom.Point), done: make(chan lssDescent)}
+	}).(*lssHelper)
+	h.prob = *prob
+	h.prob.evals = prob.newEvals(&h.ws)
+	h.cfg = cfg
+	go h.serve()
+	return h
+}
+
+// serve descends from each start it receives until it receives nil.
+func (h *lssHelper) serve() {
+	for start := range h.starts {
+		if start == nil {
+			return
+		}
+		var d lssDescent
+		d.final, d.history, d.iters, d.e = h.prob.descend(&h.ws, start, h.cfg)
+		h.done <- d
+	}
+}
+
+// Reset implements scratch.Resetter: the helper's arena rewinds with the
+// solve's.
+func (h *lssHelper) Reset() { h.ws.Release() }
 
 // lssProblem holds the preprocessed measurement data for fast gradient
 // evaluation.
@@ -338,14 +426,21 @@ func newLSSProblem(ws *scratch.Arena, set *measure.Set, cfg LSSConfig) *lssProbl
 			}
 		}
 	}
-	for k := range p.evals {
-		p.evals[k] = lssEval{
+	p.evals = p.newEvals(ws)
+	return p
+}
+
+// newEvals borrows a pair of evaluation records for p from ws.
+func (p *lssProblem) newEvals(ws *scratch.Arena) [2]lssEval {
+	var evals [2]lssEval
+	for k := range evals {
+		evals[k] = lssEval{
 			dist:       ws.Float64s(len(p.pairs)),
 			active:     ws.IntCap(len(p.soft) / 2),
 			activeDist: ws.Float64Cap(len(p.soft) / 2),
 		}
 	}
-	return p
+	return evals
 }
 
 // distanceScale returns the mean measured distance, used to size the random

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"resilientloc/internal/geom"
 	"resilientloc/internal/measure"
+	"resilientloc/internal/scratch"
 )
 
 // objective is the reference evaluator: the full E computed by scanning
@@ -143,6 +145,239 @@ func (p *lssProblem) refDescend(start []geom.Point, cfg LSSConfig) ([]geom.Point
 		}
 	}
 	return cur, append(history, e), iters, p.objective(cur)
+}
+
+// refSolveLSS is the restart loop run one descent after another: the
+// MDS-MAP seed, then rounds 0 to Restarts in order. SolveLSSIn must agree
+// with it bit for bit. It also returns the round whose descent won: -1 for
+// the MDS-MAP seed, -2 when no descent beat the initial configuration.
+func refSolveLSS(set *measure.Set, cfg LSSConfig, rng *rand.Rand) (*LSSResult, int) {
+	n := set.N()
+	anchors := make([]int, 0, len(cfg.Anchors))
+	for a := range cfg.Anchors { // order-insensitive: sorted below
+		anchors = append(anchors, a)
+	}
+	sort.Ints(anchors)
+
+	prob := newLSSProblem(nil, set, cfg)
+
+	spread := cfg.InitSpread
+	if spread <= 0 {
+		spread = prob.distanceScale() * math.Sqrt(float64(n))
+	}
+	perturb := cfg.PerturbStd
+	if perturb <= 0 {
+		perturb = 0.3 * prob.distanceScale()
+	}
+	pinAnchors := func(dst []geom.Point) {
+		for a, p := range cfg.Anchors { // order-insensitive: each anchor writes its own slot
+			dst[a] = p
+		}
+	}
+	randomConfig := func(dst []geom.Point) {
+		for i := range dst {
+			dst[i] = geom.Pt(rng.Float64()*spread, rng.Float64()*spread)
+		}
+		pinAnchors(dst)
+	}
+
+	cur := make([]geom.Point, n)
+	randomConfig(cur)
+
+	best := make([]geom.Point, n)
+	copy(best, cur)
+	bestErr := prob.evaluate(best, &prob.evals[0])
+	var bestHistory []float64
+	totalIters := 0
+	winner := -2
+
+	if cfg.SeedMDSMap && set.Connected() {
+		if seed, err := SolveMDSMapIn(nil, set); err == nil {
+			if len(cfg.Anchors) >= 2 {
+				src := make([]geom.Point, len(anchors))
+				dst := make([]geom.Point, len(anchors))
+				for k, a := range anchors {
+					src[k], dst[k] = seed[a], cfg.Anchors[a]
+				}
+				if tr, _, err := geom.FitRigid(src, dst); err == nil {
+					seed = tr.ApplyAll(seed)
+				}
+			}
+			pinAnchors(seed)
+			final, history, iters, e := prob.descend(nil, seed, cfg)
+			totalIters += iters
+			if e < bestErr {
+				bestErr = e
+				copy(best, final)
+				bestHistory = history
+				winner = -1
+			}
+		}
+	}
+
+	for round := 0; round <= cfg.Restarts; round++ {
+		switch {
+		case round == 0:
+		case round%2 == 1:
+			for i := range cur {
+				cur[i] = geom.Pt(
+					best[i].X+rng.NormFloat64()*perturb,
+					best[i].Y+rng.NormFloat64()*perturb,
+				)
+			}
+			pinAnchors(cur)
+		default:
+			randomConfig(cur)
+		}
+		final, history, iters, e := prob.descend(nil, cur, cfg)
+		totalIters += iters
+		if e < bestErr {
+			bestErr = e
+			copy(best, final)
+			bestHistory = history
+			winner = round
+		}
+	}
+
+	return &LSSResult{
+		Positions:          best,
+		Error:              bestErr,
+		UnconstrainedError: prob.weightedStress(best, prob.evals[0].dist),
+		Iterations:         totalIters,
+		History:            bestHistory,
+	}, winner
+}
+
+// sameLSSResult reports the first field in which got differs from want,
+// comparing floats by their bits, or "" when they agree.
+func sameLSSResult(got, want *LSSResult) string {
+	switch {
+	case !samePoints(got.Positions, want.Positions):
+		return "Positions"
+	case math.Float64bits(got.Error) != math.Float64bits(want.Error):
+		return fmt.Sprintf("Error %v, reference %v", got.Error, want.Error)
+	case math.Float64bits(got.UnconstrainedError) != math.Float64bits(want.UnconstrainedError):
+		return fmt.Sprintf("UnconstrainedError %v, reference %v", got.UnconstrainedError, want.UnconstrainedError)
+	case got.Iterations != want.Iterations:
+		return fmt.Sprintf("Iterations %d, reference %d", got.Iterations, want.Iterations)
+	case len(got.History) != len(want.History):
+		return fmt.Sprintf("History length %d, reference %d", len(got.History), len(want.History))
+	}
+	for i := range want.History {
+		if math.Float64bits(got.History[i]) != math.Float64bits(want.History[i]) {
+			return fmt.Sprintf("History[%d] %v, reference %v", i, got.History[i], want.History[i])
+		}
+	}
+	return ""
+}
+
+// TestSolveLSSMatchesSerialReference: the paired restart loop reproduces
+// the serial one bit for bit — positions, both objectives, every history
+// entry and the iteration count — over restart budgets that leave the last
+// pair full and half full, MDS-MAP seeding on connected and disconnected
+// sets, one and several anchors, both step modes, no soft constraint and
+// descents that tie.
+// Each case runs with a nil arena and with one arena shared by every case
+// and released between solves, so a helper workspace left stale by the
+// previous solve would show. It runs under -short, so the race detector
+// sees the helper goroutine.
+func TestSolveLSSMatchesSerialReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	connected := randomSet(t, rng, 12, 0.5)
+	for !connected.Connected() {
+		connected = randomSet(t, rng, 12, 0.5)
+	}
+	disconnected := randomSet(t, rng, 12, 0.6)
+	for _, m := range disconnected.All() {
+		if (m.Pair.Lo < 6) != (m.Pair.Hi < 6) {
+			disconnected.Remove(m.Pair.Lo, m.Pair.Hi)
+		}
+	}
+	if disconnected.Connected() {
+		t.Fatal("the disconnected set is connected")
+	}
+	// In ties only the pinned pair 0–1 is measured, so every descent that
+	// ends with node 2 outside dmin of both anchors ends at the same E,
+	// wherever node 2 is. A perturbation round and the fresh-random round
+	// beside it often both get there first: the odd round must win.
+	ties, err := measure.NewSet(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ties.Add(0, 1, 31, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	type tc struct {
+		name  string
+		set   *measure.Set
+		cfg   func(*LSSConfig)
+		seeds int // rng seeds to run; 0 means one
+	}
+	var cases []tc
+	for _, restarts := range []int{0, 1, 2, 3, 14} {
+		for _, mds := range []bool{true, false} {
+			for _, s := range []struct {
+				name string
+				set  *measure.Set
+			}{{"connected", connected}, {"disconnected", disconnected}} {
+				cases = append(cases, tc{
+					name: fmt.Sprintf("restarts=%d mds=%v %s", restarts, mds, s.name),
+					set:  s.set,
+					cfg:  func(c *LSSConfig) { c.Restarts, c.SeedMDSMap = restarts, mds },
+				})
+			}
+		}
+	}
+	cases = append(cases,
+		tc{name: "one anchor", set: connected, cfg: func(c *LSSConfig) {
+			c.Anchors = map[int]geom.Point{4: geom.Pt(3, -2)}
+		}},
+		tc{name: "three anchors", set: connected, cfg: func(c *LSSConfig) {
+			c.Anchors = map[int]geom.Point{0: geom.Pt(0, 0), 5: geom.Pt(20, 1), 9: geom.Pt(4, 18)}
+		}},
+		tc{name: "fixed step", set: connected, cfg: func(c *LSSConfig) { c.Mode, c.Step = StepFixed, 0.002 }},
+		tc{name: "fixed step disconnected", set: disconnected, cfg: func(c *LSSConfig) {
+			c.Mode, c.Step, c.SeedMDSMap = StepFixed, 0.002, false
+		}},
+		tc{name: "no soft constraint", set: connected, cfg: func(c *LSSConfig) { c.DMin = 0 }},
+		tc{name: "no soft constraint disconnected", set: disconnected, cfg: func(c *LSSConfig) { c.DMin = 0 }},
+		tc{name: "exact ties", set: ties, seeds: 24, cfg: func(c *LSSConfig) {
+			c.DMin, c.MaxIters, c.Restarts = 40, 3, 14
+			c.Anchors = map[int]geom.Point{0: geom.Pt(0, 0), 1: geom.Pt(30, 0)}
+		}},
+	)
+
+	shared := scratch.New()
+	evenWins := 0
+	for i, c := range cases {
+		cfg := DefaultLSSConfig(6)
+		cfg.MaxIters = 250
+		cfg.Restarts = 5
+		c.cfg(&cfg)
+		for k := 0; k < max(c.seeds, 1); k++ {
+			seed := int64(100*i + k)
+			want, winner := refSolveLSS(c.set, cfg, rand.New(rand.NewSource(seed)))
+			if winner >= 2 && winner%2 == 0 {
+				evenWins++
+			}
+			for _, ws := range []*scratch.Arena{nil, shared} {
+				got, err := SolveLSSIn(ws, c.set, cfg, rand.New(rand.NewSource(seed)))
+				if err != nil {
+					t.Fatalf("%s seed %d: %v", c.name, seed, err)
+				}
+				if diff := sameLSSResult(got, want); diff != "" {
+					t.Fatalf("%s seed %d (arena %v): %s", c.name, seed, ws != nil, diff)
+				}
+				ws.Release()
+			}
+		}
+	}
+	// A winning fresh-random round's positions and history come from the
+	// helper's arena; make sure some case takes that path.
+	if evenWins == 0 {
+		t.Fatal("no case was won by a fresh-random round after round 0")
+	}
 }
 
 // randomSet builds a measurement set over n nodes in which each pair is

@@ -124,7 +124,8 @@ type Options struct {
 	// screen; elsewhere the counter prints quarter milestones and the rows
 	// print once, when Execute returns.
 	Progress io.Writer
-	// Warnings receives retry/hedge diagnostics; nil means os.Stderr.
+	// Warnings receives retry/hedge diagnostics; nil means os.Stderr. When
+	// it is the Progress writer, diagnostics print above the live block.
 	Warnings io.Writer
 }
 
@@ -335,9 +336,15 @@ func newCoordinator(job spec.Resolved, opts Options) (*coordinator, error) {
 			maxTry = 4
 		}
 	}
+	prog := run.NewProgress(opts.Progress)
 	warn := opts.Warnings
 	if warn == nil {
 		warn = os.Stderr
+	}
+	if prog != nil && warn == opts.Progress {
+		// The live progress block shares the warnings' writer: print them
+		// above it, or its next repaint erases them.
+		warn = prog
 	}
 	client := opts.Client
 	if client == nil {
@@ -362,7 +369,7 @@ func newCoordinator(job spec.Resolved, opts Options) (*coordinator, error) {
 		poll:        poll,
 		reuseOn:     opts.Reuse,
 		warn:        warn,
-		prog:        run.NewProgress(opts.Progress),
+		prog:        prog,
 		assign:      make(map[string]*spec.Range),
 		departed:    make(map[string]bool),
 		discovered:  make(map[string]bool),

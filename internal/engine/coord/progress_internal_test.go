@@ -63,3 +63,28 @@ func TestScoreboardNonTTY(t *testing.T) {
 	}
 	drive(off)
 }
+
+// TestWarningsRouteThroughProgress: warnings sharing the progress writer
+// go through the renderer, which prints them above its live block; other
+// warning writers are used as given.
+func TestWarningsRouteThroughProgress(t *testing.T) {
+	job, err := spec.Resolve(spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 1, Trials: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, other strings.Builder
+	c, err := newCoordinator(job, Options{Workers: []string{"http://w1"}, Progress: &out, Warnings: &out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.warn != c.prog {
+		t.Errorf("warnings on the progress writer bypass the renderer")
+	}
+	c, err = newCoordinator(job, Options{Workers: []string{"http://w1"}, Progress: &out, Warnings: &other})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.warn != &other {
+		t.Errorf("warnings on their own writer were rerouted")
+	}
+}

@@ -160,6 +160,27 @@ func (p *Progress) resume() {
 	}
 }
 
+// Write prints b above the status block, for diagnostics sharing the
+// renderer's writer: on a terminal it erases the block, writes b and
+// repaints the block below it, so the next repaint cannot overwrite b. On
+// any other writer, or while the block is suspended or empty, it is a
+// plain write. b should end with a newline. A nil *Progress discards b.
+func (p *Progress) Write(b []byte) (int, error) {
+	if p == nil {
+		return len(b), nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.tty || p.drawn == 0 {
+		return p.w.Write(b)
+	}
+	fmt.Fprintf(p.w, "\r\x1b[%dA\x1b[J", p.drawn)
+	p.drawn = 0
+	n, err := p.w.Write(b)
+	p.redrawLocked(nil)
+	return n, err
+}
+
 // Done retires a job once its execution returns. On a terminal a job still
 // in the block (it errored, or its counter never completed) leaves it with
 // its last counter line and rows printed permanently; elsewhere the job's

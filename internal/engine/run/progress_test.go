@@ -182,3 +182,48 @@ func TestIsTTY(t *testing.T) {
 		t.Errorf("%s is a character device but isTTY says no", os.DevNull)
 	}
 }
+
+// TestWritePrintsAboveTheBlock: a diagnostic written through the renderer
+// on a terminal lands above the status block, which is repainted below it,
+// so later repaints never reach it; elsewhere, and while the block is
+// suspended, it is a plain write.
+func TestWritePrintsAboveTheBlock(t *testing.T) {
+	var buf bytes.Buffer
+	p := newTTYProgress(&buf)
+	a := p.callback("alpha", "alpha")
+	a(1, 4)
+	buf.Reset()
+	const warning = "coord: worker w1 stalled; hedging on another worker\n"
+	if n, err := p.Write([]byte(warning)); n != len(warning) || err != nil {
+		t.Fatalf("Write = %d, %v", n, err)
+	}
+	want := "\r\x1b[1A\x1b[J" + warning + "alpha                           1/4 trials\n"
+	if got := buf.String(); got != want {
+		t.Errorf("write above the block\n got %q\nwant %q", got, want)
+	}
+	buf.Reset()
+	a(2, 4) // the next repaint moves up over the block only
+	if want := "\r\x1b[1A\x1b[Jalpha                           2/4 trials\n"; buf.String() != want {
+		t.Errorf("repaint after the write\n got %q\nwant %q", buf.String(), want)
+	}
+
+	p.suspend()
+	buf.Reset()
+	p.Write([]byte(warning))
+	if buf.String() != warning {
+		t.Errorf("write while suspended: got %q, want the plain line", buf.String())
+	}
+	p.resume()
+
+	var plain bytes.Buffer
+	q := NewProgress(&plain)
+	q.callback("alpha", "alpha")(1, 4)
+	plain.Reset()
+	q.Write([]byte(warning))
+	if plain.String() != warning {
+		t.Errorf("non-TTY write: got %q, want the plain line", plain.String())
+	}
+	if n, err := (*Progress)(nil).Write([]byte(warning)); n != len(warning) || err != nil {
+		t.Errorf("nil renderer Write = %d, %v", n, err)
+	}
+}

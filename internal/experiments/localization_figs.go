@@ -309,7 +309,8 @@ func lssGridExperiment(ws *scratch.Arena, seed int64, dmin float64) (*eval.Align
 	cfg := core.DefaultLSSConfig(dmin)
 	cfg.SeedMDSMap = false
 	// The paper ran this minimization for hours; give the random-seeded
-	// solver a correspondingly generous restart budget (~10 s of compute).
+	// solver a correspondingly generous restart budget: 151 descents, the
+	// largest single solve of the figure suite.
 	// Note the 124-pair field graph is typically *disconnected*: classical
 	// MDS cannot even start, and only the soft constraint ties the
 	// components into a coherent layout.
